@@ -15,9 +15,9 @@ import (
 
 const (
 	bpropCells  = 4
-	bpropOps    = 32            // ops issued by each cell
-	bpropOutN   = 512           // floats in each cell's out buffer
-	bpropRegion = 4 * bpropOps  // in-buffer floats reserved per source
+	bpropOps    = 32           // ops issued by each cell
+	bpropOutN   = 512          // floats in each cell's out buffer
+	bpropRegion = 4 * bpropOps // in-buffer floats reserved per source
 	bpropSeed   = 20260805
 )
 
@@ -109,9 +109,9 @@ func bpropExpect(ops [][]bpropOp) (expIn, expGin [][]float64) {
 
 // bpropSnapshot is the user-visible outcome of one run.
 type bpropSnapshot struct {
-	In, Gin     [][]float64
-	RecvFlags   []int64
-	GetFlags    []int64
+	In, Gin   [][]float64
+	RecvFlags []int64
+	GetFlags  []int64
 }
 
 // bpropRun executes the workload in one issue mode (0 = singles,

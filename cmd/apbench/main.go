@@ -25,9 +25,8 @@
 // BENCH_atomics.json). -experiment pgas runs the bale histogram and
 // index-gather kernels on the PGAS layer, naive vs aggregated issue;
 // -pgas-json writes that report (for make bench / BENCH_pgas.json).
-// -experiment scale weak-scales the neighbor-PUT ring across the two
-// wire builds — the legacy mutex wire up to 256 cells, the lock-free
-// ring wire up to 4096 — reporting aggregate messages/sec and ns/hop;
+// -experiment scale weak-scales the neighbor-PUT ring from 64 to 4096
+// cells, reporting aggregate messages/sec and ns/hop;
 // -scale-json writes that report (for make bench / BENCH_scale.json).
 // -experiment tenancy splits one machine into partitions, gangs an
 // open-loop Poisson stream of tenant jobs onto them through the gang

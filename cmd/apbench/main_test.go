@@ -138,10 +138,8 @@ func TestRunQuickPGAS(t *testing.T) {
 
 // TestRunQuickScale covers the wire weak-scaling experiment end to
 // end: every row's message count is deterministic (cells × rounds),
-// and the ring wire must reach a cell count the mutex wire is never
-// asked to run. The throughput acceptance bar (ring@1024 vs
-// mutex@256) is checked on the full-size `make bench` run, not at
-// -quick scale.
+// and the -quick run reaches 1024 cells. Throughput is read off the
+// full-size `make bench` run, not at -quick scale.
 func TestRunQuickScale(t *testing.T) {
 	path := t.TempDir() + "/scale.json"
 	if err := run("scale", true, 0, 0, "", false, "", "", "", "", "", path, ""); err != nil {
@@ -155,23 +153,16 @@ func TestRunQuickScale(t *testing.T) {
 	if err := json.Unmarshal(data, &rows); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d, want 5 (-quick skips 4096)", len(rows))
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d, want 3 (-quick skips 4096)", len(rows))
 	}
-	maxRing, maxMutex := 0, 0
 	for _, r := range rows {
 		if want := int64(r.Cells) * int64(r.Rounds); r.Messages != want {
-			t.Errorf("%s/%d: %d messages, want %d", r.Wire, r.Cells, r.Messages, want)
-		}
-		if r.Wire == "ring" && r.Cells > maxRing {
-			maxRing = r.Cells
-		}
-		if r.Wire == "mutex" && r.Cells > maxMutex {
-			maxMutex = r.Cells
+			t.Errorf("%d cells: %d messages, want %d", r.Cells, r.Messages, want)
 		}
 	}
-	if maxRing <= maxMutex {
-		t.Errorf("ring wire topped out at %d cells, mutex at %d — the scaling story is missing", maxRing, maxMutex)
+	if last := rows[len(rows)-1].Cells; last != 1024 {
+		t.Errorf("largest -quick run has %d cells, want 1024", last)
 	}
 }
 

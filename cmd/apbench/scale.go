@@ -14,9 +14,8 @@ import (
 )
 
 // scaleRow is one line of the BENCH_scale.json report: the
-// neighbor-PUT ring workload at one cell count on one wire build.
+// neighbor-PUT ring workload at one cell count.
 type scaleRow struct {
-	Wire       string  // ring | mutex
 	Cells      int
 	Rounds     int     // PUTs issued per cell
 	Messages   int64   // T-net messages carried
@@ -27,61 +26,47 @@ type scaleRow struct {
 	NsPerHop   float64 // WallNS / Hops
 }
 
-// runScale is the weak-scaling gate of the lock-free wire: every cell
-// PUTs a fixed payload to its right neighbor for a fixed number of
-// rounds (work per cell constant), on the legacy mutex wire up to its
-// practical limit and on the ring wire up to 4096 cells. The headline
-// number is aggregate messages/sec: the redesign is earning its keep
-// when the 1024-cell ring run beats the 256-cell mutex run outright.
+// runScale is the weak-scaling gate of the wire: every cell PUTs a
+// fixed payload to its right neighbor for a fixed number of rounds
+// (work per cell constant), from 64 up to 4096 cells. The headline
+// number is aggregate messages/sec, which should stay flat or rise
+// with the cell count.
 func runScale(w io.Writer, quick bool, jsonPath string) error {
 	const payload = 512 // bytes per PUT
 	rounds := 128
 	if quick {
 		rounds = 32
 	}
-	configs := []struct {
-		wire  string
-		cells int
-	}{
-		{"mutex", 64},
-		{"mutex", 256},
-		{"ring", 64},
-		{"ring", 256},
-		{"ring", 1024},
-		{"ring", 4096},
-	}
+	sizes := []int{64, 256, 1024, 4096}
 	if quick {
-		configs = configs[:len(configs)-1] // skip 4096 in -quick
+		sizes = sizes[:len(sizes)-1] // skip 4096 in -quick
 	}
 	var rows []scaleRow
-	for _, cf := range configs {
-		fmt.Fprintf(os.Stderr, "running scale %s wire on %d cells...\n", cf.wire, cf.cells)
+	for _, cells := range sizes {
+		fmt.Fprintf(os.Stderr, "running scale on %d cells...\n", cells)
 		cfg := machine.Config{
 			MemoryPerCell: 1 << 16, // lazy commit: tiny working set per cell
 			Observe:       true,
 		}
-		t, err := topology.SquarishTorus(cf.cells)
+		t, err := topology.SquarishTorus(cells)
 		if err != nil {
-			return fmt.Errorf("scale/%s/%d: %w", cf.wire, cf.cells, err)
+			return fmt.Errorf("scale/%d: %w", cells, err)
 		}
 		cfg.Width, cfg.Height = t.Width(), t.Height()
-		if cf.wire == "mutex" {
-			cfg.Wire = machine.WireMutex
-		}
 		m, err := machine.New(cfg)
 		if err != nil {
-			return fmt.Errorf("scale/%s/%d: %w", cf.wire, cf.cells, err)
+			return fmt.Errorf("scale/%d: %w", cells, err)
 		}
 		np := m.Cells()
 		segs := make([]struct{ src, dst mem.Addr }, np)
 		for id := 0; id < np; id++ {
 			s, _, err := m.Cell(topology.CellID(id)).AllocBytes("src", payload)
 			if err != nil {
-				return fmt.Errorf("scale/%s/%d: %w", cf.wire, cf.cells, err)
+				return fmt.Errorf("scale/%d: %w", cells, err)
 			}
 			d, _, err := m.Cell(topology.CellID(id)).AllocBytes("dst", payload)
 			if err != nil {
-				return fmt.Errorf("scale/%s/%d: %w", cf.wire, cf.cells, err)
+				return fmt.Errorf("scale/%d: %w", cells, err)
 			}
 			segs[id] = struct{ src, dst mem.Addr }{s.Base(), d.Base()}
 		}
@@ -104,11 +89,11 @@ func runScale(w io.Writer, quick bool, jsonPath string) error {
 			return nil
 		})
 		if err != nil {
-			return fmt.Errorf("scale/%s/%d: %w", cf.wire, cf.cells, err)
+			return fmt.Errorf("scale/%d: %w", cells, err)
 		}
 		mt := m.Metrics()
 		r := scaleRow{
-			Wire: cf.wire, Cells: np, Rounds: rounds,
+			Cells: np, Rounds: rounds,
 			Messages: mt.TNet.Messages,
 			Bytes:    mt.TNet.Bytes,
 			Hops:     mt.TNet.HopsTotal,
@@ -123,12 +108,12 @@ func runScale(w io.Writer, quick bool, jsonPath string) error {
 		rows = append(rows, r)
 	}
 
-	fmt.Fprintln(w, "Weak scaling: neighbor-PUT ring, mutex wire vs lock-free ring wire:")
-	fmt.Fprintf(w, "  %-7s %6s %7s %10s %12s %14s %10s\n",
-		"wire", "cells", "rounds", "messages", "wall-ns", "msgs/sec", "ns/hop")
+	fmt.Fprintln(w, "Weak scaling: neighbor-PUT ring:")
+	fmt.Fprintf(w, "  %6s %7s %10s %12s %14s %10s\n",
+		"cells", "rounds", "messages", "wall-ns", "msgs/sec", "ns/hop")
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %-7s %6d %7d %10d %12d %14.0f %10.1f\n",
-			r.Wire, r.Cells, r.Rounds, r.Messages, r.WallNS, r.MsgsPerSec, r.NsPerHop)
+		fmt.Fprintf(w, "  %6d %7d %10d %12d %14.0f %10.1f\n",
+			r.Cells, r.Rounds, r.Messages, r.WallNS, r.MsgsPerSec, r.NsPerHop)
 	}
 	fmt.Fprintln(w)
 

@@ -221,8 +221,8 @@ func New(cell *machine.Cell) (*DSM, error) {
 	}
 	d := &DSM{
 		cell: cell, space: space, scratchSeg: seg, scratch: scratch,
-		coherent: true,
-		capacity: DefaultCachePages,
+		coherent:  true,
+		capacity:  DefaultCachePages,
 		pages:     make(map[GAddr]*cachePage),
 		gens:      make(map[GAddr]uint64),
 		fillEpoch: make(map[GAddr]int32),

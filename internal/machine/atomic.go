@@ -59,10 +59,7 @@ func (c *Cell) completeAtomic(tag, val int64, ok bool, exec int) {
 // atomicFetch issues one fetching atomic and blocks for its result,
 // through the privileged remote-access queue like a remote load.
 func (c *Cell) atomicFetch(dst topology.CellID, raddr mem.Addr, op mc.AtomicOp, operand, cmp int64) (int64, error) {
-	ch := make(chan atomicResult, 1)
-	tag := c.newAtomicWaiter(func(val int64, ok bool, _ int) {
-		ch <- atomicResult{val, ok}
-	})
+	tag := c.newAtomicWaiter(c.atomicDone)
 	cmd := msc.Command{
 		Op: msc.OpAtomic, Src: c.id, Dst: dst,
 		RAddr: raddr, AOp: op, AVal: operand, ACmp: cmp, Tag: tag,
@@ -70,7 +67,7 @@ func (c *Cell) atomicFetch(dst topology.CellID, raddr mem.Addr, op mc.AtomicOp, 
 	c.sanIssue(&cmd)
 	c.obsIssue(&cmd)
 	c.push(qRemote, cmd)
-	res := <-ch
+	res := <-c.atomicCh
 	if !res.ok {
 		return 0, fmt.Errorf("machine: atomic %s %d->%d @%#x faulted", op, c.id, dst, raddr)
 	}
@@ -163,8 +160,9 @@ func (m *Machine) routeAtomic(c *Cell, cmd msc.Command, exec int) {
 		// Root master: one combined request carries the whole subtree.
 		out := cmd
 		out.AVal = root.Delta
+		op := cmd.AOp // the waiter must not capture cmd: it would escape on every atomic
 		out.Tag = c.newAtomicWaiter(func(val int64, ok bool, exec int) {
-			m.decombine(root, cmd.AOp, val, ok, exec)
+			m.decombine(root, op, val, ok, exec)
 		})
 		if !m.xmit(c, tnet.Packet{Head: out, SanTid: exec}) {
 			// Retry budget exhausted: settle every member so no CPU

@@ -60,7 +60,7 @@ type Cell struct {
 	atoms   atomic.Int64 // non-fetching atomics issued (for fencing)
 
 	// atomMu serializes owner-side atomic RMWs on this cell's memory:
-	// requests from several senders' controller goroutines may deliver
+	// requests may deliver on several senders' workers
 	// concurrently, and the read-modify-write must be indivisible.
 	atomMu sync.Mutex
 
@@ -71,19 +71,23 @@ type Cell struct {
 	atomicMu   sync.Mutex
 	atomicSeq  int64
 	atomicWait map[int64]func(val int64, ok bool, exec int)
+	// atomicCh and atomicDone carry the result of the one fetching
+	// atomic the cell's program goroutine can have outstanding: built
+	// once, because a channel and a waiter per operation made every
+	// remote fetch-and-add allocate.
+	atomicCh   chan atomicResult
+	atomicDone func(val int64, ok bool, exec int)
 
 	// dsmHooks connects the cell's MSC+ to the DSM page-cache
 	// directory when write-through paging is enabled (nil otherwise,
 	// which keeps the remote-access paths hook-free).
 	dsmHooks atomic.Pointer[DSMHooks]
 
-	// dirty is the cell's delivery doorbell on the ring wire: set by
-	// the first producer to push into an empty-scheduled MSC, cleared
-	// by the owning worker at the top of each drain. Unused (always
-	// false) on the mutex wire.
+	// dirty is the cell's delivery doorbell: set by the first producer
+	// to push into an empty-scheduled MSC, cleared by the owning worker
+	// at the top of each drain.
 	dirty atomic.Bool
-	// shard is the delivery worker this cell is pinned to (id mod W)
-	// on the ring wire; 0 on the mutex wire.
+	// shard is the delivery worker this cell is pinned to (id mod W).
 	shard int
 
 	// invalLines counts cache lines invalidated by message reception:
@@ -123,15 +127,14 @@ func newCell(m *Machine, id topology.CellID) (*Cell, error) {
 		Cregs:   mc.NewCommRegs(),
 		OS:      newOS(),
 		loads:   make(map[int64]chan *mem.Payload),
+
+		atomicCh: make(chan atomicResult, 1),
 	}
-	if m.pool != nil {
-		// Ring wire: lock-free MSC front whose doorbell schedules this
-		// cell on its delivery shard.
-		c.shard = int(id) % m.pool.shards()
-		c.MSC = msc.NewRing(m.cfg.QueueWords, func() { m.notifyCell(c) })
-	} else {
-		c.MSC = msc.NewWithQueueWords(m.cfg.QueueWords)
-	}
+	c.atomicDone = func(val int64, ok bool, _ int) { c.atomicCh <- atomicResult{val, ok} }
+	// Lock-free MSC front whose doorbell schedules this cell on its
+	// delivery shard.
+	c.shard = int(id) % m.pool.shards()
+	c.MSC = msc.NewRing(m.cfg.QueueWords, func() { m.notifyCell(c) })
 	c.bcastCond = sync.NewCond(&c.bcastMu)
 	if m.ts != nil {
 		c.rec = trace.NewRecorder()
@@ -387,7 +390,7 @@ func (c *Cell) PushUserBatch(cmds []msc.Command) {
 	}
 	if s := c.machine.san; s != nil {
 		// One released clock covers the whole batch: every command in
-		// it is popped by this cell's single controller goroutine, whose
+		// it is popped by this cell's one controller thread, whose
 		// first acquire joins the issuing CPU's clock. The rest carry
 		// the same handle; acquiring an already-consumed handle is a
 		// no-op, and clocks only grow, so ordering is preserved.

@@ -12,43 +12,21 @@ import (
 	"ap1000plus/internal/topology"
 )
 
-// drainBatch is how many commands the controller pops per activation:
-// large enough to amortize the queue lock and priority scan over a
-// committed CommandList, small enough that an arriving reply never
-// waits behind more than one batch.
+// drainBatch is how many commands a delivery worker pops from a cell
+// per queue transaction: large enough to amortize the priority scan
+// over a committed CommandList, small enough that an arriving reply
+// never waits behind more than one batch.
 const drainBatch = 16
 
-// controller is the per-cell MSC+ send controller loop: it drains the
-// cell's queues in hardware priority order and executes each command.
-// "Message handling must be independent of processor execution"
-// (S3.2) — this goroutine is that independence. Commands are popped a
-// batch at a time (NextBatch), so a committed CommandList costs one
-// queue transaction on the drain side too.
-func (m *Machine) controller(c *Cell) {
-	var buf [drainBatch]msc.Command
-	for {
-		n, ok := c.MSC.NextBatch(buf[:])
-		if !ok {
-			return
-		}
-		for i := 0; i < n; i++ {
-			m.process(c, buf[i])
-		}
-		// Uncount the batch only after every command in it processed:
-		// the partition's quiesce counter must never read zero while a
-		// command is still executing (work a command spawns is counted
-		// before its own decrement lands).
-		c.part.q.add(-int64(n))
-	}
-}
-
-// process executes one command popped from c's queues. When the
+// process executes one command popped from c's queues — the MSC+ send
+// controller, "independent of processor execution" (S3.2) because it
+// runs on the cell's delivery worker, not its CPU goroutine. When the
 // machine is sanitized, the controller thread first acquires the
 // clock the issuer released into the command; everything downstream
-// of this call — including synchronous packet delivery on the
-// destination cell — executes as this controller's logical thread.
+// of this call — including inline packet delivery on the destination
+// cell — executes as this controller's logical thread.
 func (m *Machine) process(c *Cell, cmd msc.Command) {
-	// Only this cell's controller goroutine emits slices on its MSC
+	// Only the worker that owns this cell emits slices on its MSC
 	// track, so the X slices nest cleanly.
 	var tl *obs.Timeline
 	var start float64
@@ -146,20 +124,12 @@ func (m *Machine) sendData(c *Cell, cmd msc.Command, exec int) {
 	c.Flags.Inc(cmd.SendFlag)
 	pkt := tnet.Packet{Head: cmd, Payload: payload, SanTid: exec}
 	// PUT and remote store payloads are copied out during delivery, so
-	// their buffers can recycle; SEND payloads park in the
-	// destination's ring buffer and must stay alive. On the async ring
-	// wire delivery may happen after this return, so ownership moves to
-	// the consumer (FreeOnDeliver); on the sync wire Send delivers on
-	// this goroutine and the buffer is released here. Under a fault
-	// plan a copy may still sit in the reorder limbo, so the buffer is
-	// left to the GC.
-	if m.asyncWire && cmd.Op != msc.OpSend {
-		pkt.FreeOnDeliver = true
-	}
+	// the wire recycles their buffers once the handler returns,
+	// wherever that happens; SEND payloads park in the destination's
+	// ring buffer and must stay alive. Under a fault plan a copy may
+	// still sit in the reorder limbo, so the buffer is left to the GC.
+	pkt.FreeOnDeliver = m.rel == nil && cmd.Op != msc.OpSend
 	m.xmit(c, pkt)
-	if !m.asyncWire && cmd.Op != msc.OpSend && m.rel == nil {
-		payload.Release()
-	}
 }
 
 // reply serves a queued GET request: capture the requested range from
@@ -189,14 +159,10 @@ func (m *Machine) reply(c *Cell, cmd msc.Command, exec int) {
 	out.Dst = cmd.Src // back to the requester
 	pkt := tnet.Packet{Head: out, Payload: payload, SanTid: exec}
 	// The reply is copied into the requester's memory during delivery;
-	// recycle the buffer afterwards — on the async ring wire by the
-	// consumer (FreeOnDeliver), on the sync wire here (unless a fault
-	// plan may still be holding a copy in limbo).
-	pkt.FreeOnDeliver = m.asyncWire
+	// the wire recycles the buffer afterwards (unless a fault plan may
+	// still be holding a copy in limbo).
+	pkt.FreeOnDeliver = m.rel == nil
 	m.xmit(c, pkt)
-	if !m.asyncWire && m.rel == nil {
-		payload.Release()
-	}
 }
 
 // loadReply serves a queued remote load.
@@ -237,8 +203,9 @@ func (m *Machine) loadReply(c *Cell, cmd msc.Command, exec int) {
 // receive is the cell's T-net receive controller (the MSC+ of the
 // receiving cell): it "analyzes the header of the message and
 // activates the receive DMA to write the data directly" (S4.1).
-// It runs on the sending controller's goroutine; all state it touches
-// is monitor-protected or owned by flag discipline, like real DMA.
+// It runs on the sending cell's worker, or on this cell's own worker
+// for a packet that crossed a link; all state it touches is
+// monitor-protected or owned by flag discipline, like real DMA.
 // Sanitizer-wise the packet's SanTid carries that controller's
 // logical thread through the delivery. It reports whether the packet
 // was accepted; under a fault plan, false makes the sender retransmit.
@@ -451,7 +418,7 @@ func (c *Cell) deliver(cmd msc.Command, payload *mem.Payload, exec int, op strin
 		cc.RecvDMAs.Add(1)
 		cc.DeliveredBytes.Add(payload.Size())
 		if tl := o.Timeline(); tl != nil {
-			// Receive DMAs run on the sending controller's goroutine, so
+			// Receive DMAs may run on the sending cells' workers, so
 			// several may overlap on this cell's track: instants, not
 			// slices.
 			tl.Instant(int(c.id), obs.TidMSC, "dma", "recv-dma", o.NowUs())

@@ -13,9 +13,9 @@ import (
 // DSMHooks connects a cell's MSC+ to the DSM write-through page cache
 // (internal/dsm). The machine stays ignorant of cache policy: it only
 // reports the three events the directory protocol is built from. All
-// hooks run on controller goroutines (the receive side executes on the
-// sending cell's controller), so they must not block — take short
-// locks, send packets, return.
+// hooks run in delivery context — on a delivery worker, or for Inval
+// and Evicted on whichever goroutine sent the packet — so they must
+// not block: take short locks, send packets, return.
 type DSMHooks struct {
 	// Shared fires on the owning cell when a remote load with the
 	// cache-fill bit is served: sharer is about to hold a cached copy
@@ -56,9 +56,15 @@ func (c *Cell) SetDSMHooks(h *DSMHooks) {
 // SendDSMInval sends a page-invalidation message to dst over the
 // reliable T-net path: page is the invalidated page's address in THIS
 // (owning) cell's memory, writer the cell whose store triggered the
-// invalidation. Called by the DSM directory from controller context
+// invalidation. Called by the DSM directory from delivery context
 // (the Stored hook) or from the owning CPU (a local store to an owned
-// shared page); neither holds locks across the send.
+// shared page); neither holds locks across the send. The packet is
+// delivered inline: the invalidation has been applied when this
+// returns, which is what lets a store's acknowledgement (and so the
+// writer's fence) imply it, and the CPU never becomes a second
+// producer on its shard's links. Overtaking a cache fill still on the
+// link is safe — the sharer discards a fill older than the page's
+// last invalidation.
 func (c *Cell) SendDSMInval(dst topology.CellID, page mem.Addr, writer topology.CellID) {
 	cmd := msc.Command{
 		Op: msc.OpDSMInval, Src: c.id, Dst: dst,
@@ -70,7 +76,7 @@ func (c *Cell) SendDSMInval(dst topology.CellID, page mem.Addr, writer topology.
 			tl.Instant(int(c.id), obs.TidMSC, "dsm", "inval-send", o.NowUs())
 		}
 	}
-	c.machine.xmit(c, tnet.Packet{Head: cmd, SanTid: -1})
+	c.machine.xmit(c, tnet.Packet{Head: cmd, SanTid: -1, Inline: true})
 }
 
 // SendDSMEvict notifies the page owner dst that this cell has evicted
@@ -79,8 +85,10 @@ func (c *Cell) SendDSMInval(dst topology.CellID, page mem.Addr, writer topology.
 // page's sharer set (unless a newer registration outranks the notice),
 // so later stores stop sending spurious invalidations. Called by the
 // DSM cache from CPU context after the eviction is already effective
-// locally; losing the notice under a fault plan only costs extra
-// invalidations, never correctness.
+// locally, so it is delivered inline rather than pushed onto a link
+// the CPU does not produce for; the epoch makes its order against
+// fills irrelevant, and losing the notice under a fault plan only
+// costs extra invalidations, never correctness.
 func (c *Cell) SendDSMEvict(dst topology.CellID, page mem.Addr, epoch int32) {
 	cmd := msc.Command{
 		Op: msc.OpDSMEvict, Src: c.id, Dst: dst,
@@ -91,7 +99,7 @@ func (c *Cell) SendDSMEvict(dst topology.CellID, page mem.Addr, epoch int32) {
 			tl.Instant(int(c.id), obs.TidMSC, "dsm", "evict-send", o.NowUs())
 		}
 	}
-	c.machine.xmit(c, tnet.Packet{Head: cmd, SanTid: -1})
+	c.machine.xmit(c, tnet.Packet{Head: cmd, SanTid: -1, Inline: true})
 }
 
 // SanReadAt records a CPU-context read of memCell's DRAM with the

@@ -56,25 +56,6 @@ func Table1() Spec {
 	}
 }
 
-// WireKind selects the message hot-path build.
-type WireKind uint8
-
-const (
-	// WireRing is the default lock-free wire: MSC+ send queues on
-	// SPSC rings, a sharded pool of delivery workers instead of one
-	// controller goroutine per cell, and — when no fault plan or
-	// sanitizer forces synchronous delivery — asynchronous packet
-	// transport over per-shard-pair tnet Links.
-	WireRing WireKind = iota
-	// WireMutex is the original mutex+cond build: one controller
-	// goroutine per cell blocking on its MSC's condition variable,
-	// synchronous packet delivery on the sender's goroutine. Kept as
-	// the differential-testing reference (and for workloads that
-	// push commands from more than one goroutine per cell, which the
-	// ring wire's SPSC discipline forbids).
-	WireMutex
-)
-
 // Config parameterizes a machine instance.
 type Config struct {
 	// Width and Height give the torus dimensions (4..4096 cells; the
@@ -116,17 +97,11 @@ type Config struct {
 	// message-count optimization — combined and uncombined runs return
 	// the same results.
 	Combining bool
-	// Wire selects the hot-path build: WireRing (default, lock-free)
-	// or WireMutex (the legacy reference).
-	Wire WireKind
-	// Workers sets the ring wire's delivery-shard count; 0 picks
-	// min(GOMAXPROCS, cells). Setting it on WireMutex is a conflict —
-	// that build has one controller goroutine per cell by definition.
+	// Workers sets the delivery-worker count (cell id mod Workers owns
+	// a cell); 0 picks min(GOMAXPROCS, cells), or one worker per cell
+	// under Combining, whose stations absorb only requests that are in
+	// flight on different workers at once.
 	Workers int
-	// MutexLinks, on the ring wire, swaps the lock-free RingLinks for
-	// the reference MutexLinks (differential testing of the link
-	// layer; delivery semantics are identical).
-	MutexLinks bool
 	// Partitions splits the machine into this many equal contiguous
 	// cell partitions — the paper's partitioned multi-user operation.
 	// Each partition is a gang-scheduling unit with disjoint T-net
@@ -151,17 +126,8 @@ func (c *Config) fill() error {
 	if c.QueueWords < msc.CommandWords {
 		return fmt.Errorf("machine: QueueWords %d below one %d-word command", c.QueueWords, msc.CommandWords)
 	}
-	if c.Wire > WireMutex {
-		return fmt.Errorf("machine: unknown wire kind %d", c.Wire)
-	}
 	if c.Workers < 0 {
 		return fmt.Errorf("machine: negative worker count %d", c.Workers)
-	}
-	if c.Wire == WireMutex && c.Workers > 0 {
-		return fmt.Errorf("machine: Workers conflicts with the mutex wire (it runs one controller per cell)")
-	}
-	if c.Wire == WireMutex && c.MutexLinks {
-		return fmt.Errorf("machine: MutexLinks conflicts with the mutex wire (it has no links)")
 	}
 	if c.Partitions < 0 {
 		return fmt.Errorf("machine: negative partition count %d", c.Partitions)
@@ -193,7 +159,7 @@ type Machine struct {
 	partOf []int32
 
 	// lifeMu guards the Open/Close lifecycle; ctlWG tracks the
-	// delivery workers (or per-cell controllers) of the current epoch.
+	// delivery workers of the current epoch.
 	lifeMu  sync.Mutex
 	opened  bool
 	everRan bool
@@ -204,14 +170,7 @@ type Machine struct {
 	obs  *obs.Observer
 	rel  *relay         // reliable delivery; nil without Config.Fault
 	comb *tnet.Combiner // in-network combining; nil without Config.Combining
-	pool *workerPool    // sharded delivery workers; nil on WireMutex
-	// asyncWire marks the tnet ring wire active: packets may be
-	// delivered on the destination shard's worker after Send returns,
-	// so senders transfer payload ownership (FreeOnDeliver) instead of
-	// releasing. False whenever a fault plan or the sanitizer needs
-	// synchronous delivery — the MSC rings and workers stay on, only
-	// the transport is synchronous.
-	asyncWire bool
+	pool *workerPool    // sharded delivery workers, the one engine
 
 	groupMu sync.Mutex
 	groups  []*topology.Group // index = trace.GroupID
@@ -270,13 +229,7 @@ func New(cfg Config) (*Machine, error) {
 		m.tnet.SetFault(inj)
 		m.bnet.SetFault(inj, inj.ClassID("bcast"), inj.MaxAttempts())
 	}
-	if cfg.Wire == WireRing && !cfg.Combining {
-		// Combining keeps the per-cell controller goroutines: its
-		// stations absorb requests only when several cells' controllers
-		// submit concurrently, which a small shared worker pool
-		// serializes away.
-		m.pool = newWorkerPool(m, ringShards(cfg, torus.Cells()))
-	}
+	m.pool = newWorkerPool(m, ringShards(cfg, torus.Cells()))
 	for id := 0; id < torus.Cells(); id++ {
 		c, err := newCell(m, topology.CellID(id))
 		if err != nil {
@@ -286,29 +239,35 @@ func New(cfg Config) (*Machine, error) {
 		m.tnet.Attach(c.id, c.receive)
 		m.bnet.Attach(c.id, c.receiveBroadcast)
 	}
-	if m.pool != nil && cfg.Fault == nil && !cfg.Sanitize {
-		// No one needs synchronous delivery: switch the T-net onto the
-		// asynchronous ring wire. The fault plan's reliable layer reads
-		// Send's per-attempt verdict, and the sanitizer's logical
-		// clocks assume one cell's packets deliver serially, so either
-		// keeps the transport synchronous (workers and MSC rings stay).
-		m.tnet.SetRingWire(m.pool.shards(), ringLinkCap, m.pool.wake, cfg.MutexLinks, m.trackWire)
-		m.asyncWire = true
+	if cfg.Fault == nil && !cfg.Sanitize && !cfg.Combining {
+		// The one fork: cross-shard packets ride links unless a feature
+		// needs inline delivery. The fault plan's reliable layer reads
+		// Send's per-attempt verdict, the sanitizer's logical clocks
+		// assume one cell's packets deliver serially, and combining
+		// runs one worker per cell, for which a shard-pair link matrix
+		// would be cells² rings.
+		m.tnet.SetRingWire(m.pool.shards(), ringLinkCap, m.pool.wake, false, m.trackWire)
 	}
 	return m, nil
 }
 
-// trackWire charges a cross-shard ring-wire packet to its destination
-// partition's quiesce counter: +1 before enqueue, -1 after delivery.
+// trackWire charges a packet on a link to its destination partition's
+// quiesce counter: +1 before enqueue, -1 after delivery.
 func (m *Machine) trackWire(dst topology.CellID, delta int64) {
 	m.parts[m.partOf[dst]].q.add(delta)
 }
 
-// ringShards picks the delivery-worker count for the ring wire.
+// ringShards picks the delivery-worker count. Combining stations
+// absorb only requests that meet while several submitters are in
+// flight, so by default it gets one worker per cell; an explicit
+// Workers is honoured and only lowers how much combines.
 func ringShards(cfg Config, cells int) int {
 	w := cfg.Workers
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
+		if cfg.Combining {
+			w = cells
+		}
 	}
 	if w > cells {
 		w = cells
@@ -391,10 +350,9 @@ func (m *Machine) Trace() *trace.TraceSet {
 }
 
 // Run executes program SPMD: one goroutine per cell, plus the
-// delivery engine (sharded workers or one controller goroutine per
-// cell). It returns after every cell's program finished AND all
-// in-flight communication drained, mirroring a job completing on the
-// machine. On a partitioned machine every partition runs the program
+// sharded delivery workers. It returns after every cell's program
+// finished AND all in-flight communication drained, mirroring a job
+// completing on the machine. On a partitioned machine every partition runs the program
 // concurrently as its own job. Sequential Run calls on one machine
 // are legal: job-scoped cell state resets between jobs (memory
 // segments persist — see RunJob). The first program error (or panic,

@@ -12,7 +12,7 @@ import (
 )
 
 // quiesce is a partition's completion doorbell: work counts commands
-// pushed but not fully processed plus ring-wire packets enqueued but
+// pushed but not fully processed plus packets enqueued on a link but
 // not yet delivered, and wait parks the draining goroutine until the
 // count hits zero — no busy-spin, so a host running many tenant
 // machines pays ~no CPU for a partition that is merely draining.
@@ -128,12 +128,11 @@ func (m *Machine) Partition(i int) *Partition { return m.parts[i] }
 // PartitionOf reports which partition a cell belongs to.
 func (m *Machine) PartitionOf(id topology.CellID) int { return int(m.partOf[id]) }
 
-// Open starts the machine's delivery engine (ring-wire workers or
-// per-cell controllers) without running a job, so a scheduler can
-// gang-place jobs onto partitions with RunJob. Run is Open + one job
-// per partition + Close. Reopening a machine that was closed after
-// earlier jobs is legal: the MSC queues reopen and the engine
-// restarts.
+// Open starts the machine's delivery workers without running a job,
+// so a scheduler can gang-place jobs onto partitions with RunJob. Run
+// is Open + one job per partition + Close. Reopening a machine that
+// was closed after earlier jobs is legal: the MSC queues reopen and
+// the workers restart.
 func (m *Machine) Open() error {
 	m.lifeMu.Lock()
 	defer m.lifeMu.Unlock()
@@ -144,24 +143,12 @@ func (m *Machine) Open() error {
 		for _, c := range m.cells {
 			c.MSC.Reopen()
 		}
-		if m.pool != nil {
-			m.pool.reopen()
-		}
+		m.pool.reopen()
 		if m.cfg.Sanitize {
 			m.resetSanitizer()
 		}
 	}
-	if m.pool != nil {
-		m.pool.start(&m.ctlWG)
-	} else {
-		for _, c := range m.cells {
-			m.ctlWG.Add(1)
-			go func(c *Cell) {
-				defer m.ctlWG.Done()
-				m.controller(c)
-			}(c)
-		}
-	}
+	m.pool.start(&m.ctlWG)
 	m.opened = true
 	return nil
 }
@@ -176,9 +163,9 @@ func (m *Machine) resetSanitizer() {
 	}
 }
 
-// Close stops the delivery engine once every partition is idle and
-// waits for the workers (or controllers) to exit. It is an error to
-// Close while a job is running. A closed machine can be opened again.
+// Close stops the delivery workers once every partition is idle and
+// waits for them to exit. It is an error to Close while a job is
+// running. A closed machine can be opened again.
 func (m *Machine) Close() error {
 	m.lifeMu.Lock()
 	defer m.lifeMu.Unlock()
@@ -193,9 +180,7 @@ func (m *Machine) Close() error {
 	for _, c := range m.cells {
 		c.MSC.Close()
 	}
-	if m.pool != nil {
-		m.pool.close()
-	}
+	m.pool.close()
 	m.ctlWG.Wait()
 	m.opened = false
 	m.everRan = true
@@ -253,11 +238,11 @@ func (m *Machine) RunJob(part int, program func(c *Cell) error) error {
 	cpuWG.Wait()
 
 	// Drain: park on the partition's doorbell until all of its queued
-	// and chained commands (and, on the async ring wire, its enqueued
-	// packets) completed. Under a fault plan, reordered packets held in
-	// limbo on the partition's own streams are flushed once it is
-	// quiescent; a flush can queue new commands (a late GET request),
-	// so drain again until nothing is held.
+	// and chained commands and its packets on links completed. Under a
+	// fault plan, reordered packets held in limbo on the partition's
+	// own streams are flushed once it is quiescent; a flush can queue
+	// new commands (a late GET request), so drain again until nothing
+	// is held.
 	for {
 		p.q.wait()
 		if m.rel == nil || m.tnet.FlushHeldWhere(p.ownsStream) == 0 {

@@ -63,9 +63,9 @@ const atomicReplayWindow = 128
 
 // relLink is one directed (src, dst) link's reliable-delivery state:
 // the sender-side sequence counter and the receiver-side dedup window.
-// Several controller goroutines can transmit on one link (a cell's own
-// commands, its GET replies, remote-store acks executing on other
-// controllers), so both sides are under the link mutex.
+// Several workers can transmit on one link (a cell's own commands,
+// its GET replies, remote-store acks executing in other workers'
+// deliveries), so both sides are under the link mutex.
 type relLink struct {
 	mu      sync.Mutex
 	nextSeq uint64

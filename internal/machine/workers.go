@@ -14,13 +14,11 @@ import (
 // blocking the producer.
 const ringLinkCap = 256
 
-// workerPool is the sharded delivery engine behind the ring wire. Each
-// cell is pinned to the worker numbered id mod W, which is the single
-// consumer of that cell's MSC+ command rings and of the wire links
-// addressed to its shard — the consumer half of every SPSC pair. The
-// per-cell blocking controller goroutines of the mutex wire are
-// replaced by these W loops, so a 4096-cell machine runs on a few
-// workers instead of 4096 parked receivers.
+// workerPool is the machine's delivery engine. Each cell is pinned to
+// the worker numbered id mod W, which is the single consumer of that
+// cell's MSC+ command rings and of the wire links addressed to its
+// shard — the consumer half of every SPSC pair — so a 4096-cell
+// machine runs on a few workers instead of 4096 parked receivers.
 type workerPool struct {
 	m       *Machine
 	workers []*worker
@@ -188,7 +186,10 @@ func (m *Machine) drainCell(c *Cell) int {
 		for i := 0; i < n; i++ {
 			m.process(c, buf[i])
 		}
-		// Uncount after the whole batch processed; see controller.
+		// Uncount the batch only after every command in it processed:
+		// the partition's quiesce counter must never read zero while a
+		// command is still executing (work a command spawns is counted
+		// before its own decrement lands).
 		c.part.q.add(-int64(n))
 		done += n
 	}

@@ -8,7 +8,6 @@ package msc
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"ap1000plus/internal/mc"
@@ -318,14 +317,14 @@ func (q *Queue) Stats() QueueStats { return q.stats }
 // Name reports the queue's label.
 func (q *Queue) Name() string { return q.name }
 
-// MSC is one cell's message controller front end: the five queues and
-// the condition variable the send controller blocks on. The CPU
-// pushes commands; the consumer — a per-cell controller goroutine on
-// the mutex wire, a shared delivery worker on the ring wire — pops
-// them in the hardware's priority order.
+// MSC is one cell's message controller front end: the five queues.
+// The CPU pushes commands; the consumer — the delivery worker that
+// owns the cell — pops them in the hardware's priority order with
+// TryNext/TryNextBatch. New builds the mutex-guarded reference front
+// (any goroutine may push), NewRing the lock-free one the machine
+// runs on.
 type MSC struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	// Send side: "three sending queues for PUT and GET requests
 	// issued by the user, PUT and GET requests from the system, and
@@ -340,10 +339,10 @@ type MSC struct {
 
 	closed bool
 
-	// ring, when non-nil, replaces the mutex+cond front end with the
+	// ring, when non-nil, replaces the mutex front end with the
 	// lock-free build (NewRing): send queues become SPSC rings, the
 	// two reply Queues above are shared with it under its own lock,
-	// and every push rings a doorbell instead of signalling a cond.
+	// and every push rings a doorbell.
 	ring *ringFront
 }
 
@@ -353,15 +352,13 @@ func New() *MSC { return NewWithQueueWords(QueueWords) }
 // NewWithQueueWords builds an MSC+ with a custom queue capacity, used
 // by the queue-depth ablation.
 func NewWithQueueWords(words int) *MSC {
-	m := &MSC{
+	return &MSC{
 		userSend:   NewQueue("user-send", words),
 		sysSend:    NewQueue("sys-send", words),
 		remoteAcc:  NewQueue("remote-access", words),
 		getReply:   NewQueue("get-reply", words),
 		rloadReply: NewQueue("rload-reply", words),
 	}
-	m.cond = sync.NewCond(&m.mu)
-	return m
 }
 
 // PushUser enqueues a user-level PUT/GET command. This is the paper's
@@ -433,14 +430,13 @@ func (m *MSC) push(q *Queue, c Command) {
 	}
 	q.Push(c)
 	m.mu.Unlock()
-	m.cond.Signal()
 }
 
-// PushUserBatch enqueues a run of user commands under one lock
-// acquisition and one doorbell (condition signal) — the descriptor-ring
-// NIC pattern: the CPU builds the whole command list in memory, then
-// rings the doorbell once. One signal suffices because each MSC has a
-// single send controller; it re-scans every queue before sleeping.
+// PushUserBatch enqueues a run of user commands with one doorbell —
+// the descriptor-ring NIC pattern: the CPU builds the whole command
+// list in memory, then rings the doorbell once. One ring suffices
+// because each MSC has a single consumer, which re-scans every queue
+// before it parks.
 func (m *MSC) PushUserBatch(cmds []Command) {
 	if len(cmds) == 0 {
 		return
@@ -460,96 +456,16 @@ func (m *MSC) PushUserBatch(cmds []Command) {
 	}
 	m.userSend.PushBatch(cmds)
 	m.mu.Unlock()
-	m.cond.Signal()
-}
-
-// Next pops the highest-priority pending command, blocking until one
-// arrives or the MSC is closed. Priority: remote-load replies, then
-// GET replies, then remote access, then system sends, then user
-// sends.
-func (m *MSC) Next() (Command, bool) {
-	if f := m.ring; f != nil {
-		var buf [1]Command
-		for {
-			if f.tryNextBatch(buf[:]) == 1 {
-				return buf[0], true
-			}
-			if f.closed.Load() {
-				return Command{}, false
-			}
-			runtime.Gosched()
-		}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		for _, q := range []*Queue{m.rloadReply, m.getReply, m.remoteAcc, m.sysSend, m.userSend} {
-			if c, ok := q.Pop(); ok {
-				return c, true
-			}
-		}
-		if m.closed {
-			return Command{}, false
-		}
-		m.cond.Wait()
-	}
-}
-
-// NextBatch fills buf with up to len(buf) pending commands under a
-// single lock acquisition, blocking until at least one arrives or the
-// MSC is closed. Commands come out in the same priority order Next
-// uses, evaluated once per activation: the controller drains a whole
-// run per doorbell instead of paying the lock and the priority scan
-// per command. A reply that arrives while the controller works through
-// a batch waits at most one batch — the hardware's own queue-service
-// granularity trade.
-func (m *MSC) NextBatch(buf []Command) (int, bool) {
-	if len(buf) == 0 {
-		panic("msc: NextBatch with empty buffer")
-	}
-	if f := m.ring; f != nil {
-		for {
-			if n := f.tryNextBatch(buf); n > 0 {
-				return n, true
-			}
-			if f.closed.Load() {
-				return 0, false
-			}
-			runtime.Gosched()
-		}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		n := 0
-		for _, q := range []*Queue{m.rloadReply, m.getReply, m.remoteAcc, m.sysSend, m.userSend} {
-			for n < len(buf) {
-				c, ok := q.Pop()
-				if !ok {
-					break
-				}
-				buf[n] = c
-				n++
-			}
-			if n == len(buf) {
-				break
-			}
-		}
-		if n > 0 {
-			return n, true
-		}
-		if m.closed {
-			return 0, false
-		}
-		m.cond.Wait()
-	}
 }
 
 // TryNextBatch fills buf with up to len(buf) pending commands without
-// blocking, in NextBatch's priority order. It is the ring-wire
-// delivery worker's drain primitive: the worker owns the consumer
-// side of the cell's SPSC rings, so only one goroutine may call it
-// (or any other pop) at a time.
+// blocking. Priority, evaluated once per call: remote-load replies,
+// then GET replies, then remote access, then system sends, then user
+// sends — a reply that arrives while the consumer works through a
+// batch waits at most one batch, the hardware's own queue-service
+// granularity trade. It is the delivery worker's drain primitive: the
+// worker owns the consumer side of the cell's SPSC rings, so only one
+// goroutine may call it (or TryNext) at a time.
 func (m *MSC) TryNextBatch(buf []Command) int {
 	if f := m.ring; f != nil {
 		return f.tryNextBatch(buf)
@@ -570,21 +486,11 @@ func (m *MSC) TryNextBatch(buf []Command) int {
 	return n
 }
 
-// TryNext pops without blocking.
+// TryNext pops the highest-priority pending command without blocking.
 func (m *MSC) TryNext() (Command, bool) {
-	if f := m.ring; f != nil {
-		var buf [1]Command
-		if f.tryNextBatch(buf[:]) == 1 {
-			return buf[0], true
-		}
-		return Command{}, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, q := range []*Queue{m.rloadReply, m.getReply, m.remoteAcc, m.sysSend, m.userSend} {
-		if c, ok := q.Pop(); ok {
-			return c, true
-		}
+	var buf [1]Command
+	if m.TryNextBatch(buf[:]) == 1 {
+		return buf[0], true
 	}
 	return Command{}, false
 }
@@ -599,8 +505,8 @@ func (m *MSC) Pending() int {
 	return m.userSend.Len() + m.sysSend.Len() + m.remoteAcc.Len() + m.getReply.Len() + m.rloadReply.Len()
 }
 
-// Close marks the MSC as shutting down; Next returns false once the
-// queues drain. Pushing after Close panics — it would lose commands.
+// Close marks the MSC as shutting down: commands already queued still
+// pop, pushing after Close panics — it would lose commands.
 func (m *MSC) Close() {
 	if f := m.ring; f != nil {
 		f.closed.Store(true)
@@ -610,7 +516,6 @@ func (m *MSC) Close() {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
-	m.cond.Broadcast()
 }
 
 // Reopen reverses Close, making the MSC accept pushes again — the
@@ -633,7 +538,7 @@ func (m *MSC) Reopen() {
 // Both receive the command count of the triggering push or refill.
 func (m *MSC) SetObserver(onSpill func(queue string, n int), onRefill func(queue string, n int)) {
 	if f := m.ring; f != nil {
-		for _, q := range []*ringQueue{&f.user, &f.sys, &f.remote} {
+		for _, q := range []*ringQueue{f.user, f.sys, f.remote} {
 			q.onSpill = onSpill
 			q.onRefill = onRefill
 		}

@@ -1,6 +1,7 @@
 package msc
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -151,30 +152,10 @@ func TestMSCPriorityOrder(t *testing.T) {
 	m.PushRemoteLoadReply(Command{Op: OpRemoteLoadReply, Tag: 5})
 	want := []int64{5, 4, 3, 2, 1}
 	for _, w := range want {
-		c, ok := m.Next()
+		c, ok := m.TryNext()
 		if !ok || c.Tag != w {
-			t.Fatalf("Next = %+v, %v; want tag %d", c, ok, w)
+			t.Fatalf("TryNext = %+v, %v; want tag %d", c, ok, w)
 		}
-	}
-}
-
-func TestMSCNextBlocksUntilPush(t *testing.T) {
-	m := New()
-	got := make(chan Command, 1)
-	go func() {
-		c, ok := m.Next()
-		if ok {
-			got <- c
-		}
-	}()
-	select {
-	case c := <-got:
-		t.Fatalf("Next returned %+v before push", c)
-	default:
-	}
-	m.PushUser(Command{Tag: 7})
-	if c := <-got; c.Tag != 7 {
-		t.Fatalf("got %+v", c)
 	}
 }
 
@@ -182,11 +163,11 @@ func TestMSCCloseDrains(t *testing.T) {
 	m := New()
 	m.PushUser(Command{Tag: 1})
 	m.Close()
-	if c, ok := m.Next(); !ok || c.Tag != 1 {
+	if c, ok := m.TryNext(); !ok || c.Tag != 1 {
 		t.Fatalf("queued command lost at close: %+v %v", c, ok)
 	}
-	if _, ok := m.Next(); ok {
-		t.Fatal("Next after drain+close should report done")
+	if _, ok := m.TryNext(); ok {
+		t.Fatal("TryNext after drain+close should report empty")
 	}
 }
 
@@ -226,10 +207,11 @@ func TestMSCConcurrentProducersConsumer(t *testing.T) {
 		}(p)
 	}
 	seen := make(map[int64]bool)
-	for i := 0; i < producers*each; i++ {
-		c, ok := m.Next()
+	for len(seen) < producers*each {
+		c, ok := m.TryNext()
 		if !ok {
-			t.Fatal("Next failed early")
+			runtime.Gosched()
+			continue
 		}
 		if seen[c.Tag] {
 			t.Fatalf("duplicate tag %d", c.Tag)
@@ -248,7 +230,7 @@ func TestMSCStats(t *testing.T) {
 		m.PushUser(Command{Tag: int64(i)})
 	}
 	for i := 0; i < 20; i++ {
-		m.Next()
+		m.TryNext()
 	}
 	s := m.Stats()
 	if s.UserSend.Pushes != 20 || s.UserSend.Pops != 20 {
@@ -270,7 +252,7 @@ func BenchmarkMSCPushPop(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.PushUser(Command{Tag: int64(i)})
-		m.Next()
+		m.TryNext()
 	}
 }
 
@@ -316,33 +298,26 @@ func TestQueuePushBatchAfterSpillStaysOrdered(t *testing.T) {
 	}
 }
 
-// TestMSCPushUserBatchSingleWakeup delivers a whole batch to a
-// blocked consumer with one Signal, preserving order, and an empty
-// batch is a no-op even on a closed MSC.
+// TestMSCPushUserBatchSingleWakeup rings the ring front's doorbell
+// once for a whole batch, preserves order, and an empty batch is a
+// no-op even on a closed MSC — on both fronts.
 func TestMSCPushUserBatchSingleWakeup(t *testing.T) {
-	m := New()
-	done := make(chan []int64)
-	go func() {
-		var tags []int64
+	rings := 0
+	for _, m := range []*MSC{New(), NewRing(QueueWords, func() { rings++ })} {
+		m.PushUserBatch([]Command{cmd(0), cmd(1), cmd(2), cmd(3)})
+		var buf [8]Command
+		if n := m.TryNextBatch(buf[:]); n != 4 {
+			t.Fatalf("got %d commands, want 4", n)
+		}
 		for i := 0; i < 4; i++ {
-			c, ok := m.Next()
-			if !ok {
-				break
+			if buf[i].Tag != int64(i) {
+				t.Fatalf("batch out of order: %v", buf[:4])
 			}
-			tags = append(tags, c.Tag)
 		}
-		done <- tags
-	}()
-	m.PushUserBatch([]Command{cmd(0), cmd(1), cmd(2), cmd(3)})
-	tags := <-done
-	for i, tag := range tags {
-		if tag != int64(i) {
-			t.Fatalf("tags = %v", tags)
-		}
+		m.Close()
+		m.PushUserBatch(nil) // must not panic: empty batches never touch the queue
 	}
-	if len(tags) != 4 {
-		t.Fatalf("got %d commands, want 4", len(tags))
+	if rings != 2 { // one for the batch, one for Close
+		t.Fatalf("doorbell rang %d times, want 2", rings)
 	}
-	m.Close()
-	m.PushUserBatch(nil) // must not panic: empty batches never touch the queue
 }

@@ -7,129 +7,87 @@ import (
 	"ap1000plus/internal/ring"
 )
 
-// ringQueue is the lock-free build of one MSC+ send queue: the
-// hardware FIFO is an SPSC ring (producer: the cell's CPU goroutine;
-// consumer: the delivery worker that owns the cell), and overflow
-// spills to a mutex-guarded DRAM buffer exactly like the hardware's
-// "write into the buffer in DRAM" path (S4.1). FIFO order across the
-// spill is kept by a monotonic rule: once anything is in the spill,
-// the producer keeps spilling (even if the ring has space again)
-// until the consumer has staged every spilled command, so ring
-// entries are always older than spill entries.
-//
-// The consumer never pushes into the SPSC ring (that would make it a
-// second producer); instead an "OS refill interrupt" moves a batch of
-// spilled commands into a consumer-local staging buffer, which is
-// served before the ring — staged commands are always older than
-// anything pushed after the spill drained.
+// ringQueue is the lock-free build of one MSC+ send queue. The
+// commands live in a ring.Overflow (producer: the cell's CPU
+// goroutine; consumer: the delivery worker that owns the cell), whose
+// SPSC ring is the hardware FIFO and whose spill buffer is the
+// hardware's "write into the buffer in DRAM" path (S4.1); FIFO order
+// across the spill is Overflow's business. What is kept here is the
+// MSC+'s accounting: pushes and pops, the hardware queue's high-water
+// mark, spill and refill observers, and one OS interrupt per spill
+// service episode.
 type ringQueue struct {
 	name string
-	hw   *ring.SPSC[Command]
+	cmds *ring.Overflow[Command]
 
-	// Producer-side high-water mark of the hardware ring; only the
+	// Producer-side high-water mark of the hardware queue; only the
 	// producer writes it, readers get a snapshot.
 	maxDepth atomic.Int64
 
-	// spill is the DRAM overflow buffer. spillPending mirrors its
-	// length so the producer's fast path (and Len) can check it
-	// without the lock.
-	mu           sync.Mutex
-	spill        []Command
-	spillHead    int
-	spillPending atomic.Int64
-
-	// staged is the consumer-local refill buffer; stagedPending
-	// mirrors its length for Len.
-	staged        []Command
-	stagedHead    int
-	stagedPending atomic.Int64
-	serving       bool // consumer is mid-spill-service (one interrupt per episode)
+	// Consumer-local episode state: staged counts refilled commands
+	// not yet popped, serving stays set until a pop is served by the
+	// ring (or finds the queue empty), so a contiguous spill-service
+	// episode counts one interrupt however many refill batches it
+	// takes.
+	staged  int
+	serving bool
 
 	pushes     atomic.Int64
 	pops       atomic.Int64
-	spills     atomic.Int64
 	refills    atomic.Int64
 	interrupts atomic.Int64
 
 	// Spill/refill observers (observability layer): onSpill runs in
-	// producer context under mu, onRefill in consumer context under
-	// mu. Neither may call back into the queue.
+	// producer context, onRefill in consumer context. Neither may call
+	// back into the queue.
 	onSpill  func(queue string, n int)
 	onRefill func(queue string, n int)
 }
 
-func newRingQueue(name string, capacityWords int) ringQueue {
-	return ringQueue{name: name, hw: ring.New[Command](capacityWords / CommandWords)}
+func newRingQueue(name string, capacityWords int) *ringQueue {
+	q := &ringQueue{name: name, cmds: ring.NewOverflow[Command](capacityWords / CommandWords)}
+	q.cmds.SetRefillObserver(q.refilled)
+	return q
 }
 
 // push appends a command; single producer. It never rejects: overflow
 // goes to the DRAM spill buffer.
 func (q *ringQueue) push(c Command) {
 	q.pushes.Add(1)
-	if q.spillPending.Load() == 0 && q.hw.Push(c) {
-		if d := int64(q.hw.Len()); d > q.maxDepth.Load() {
-			q.maxDepth.Store(d)
+	if q.cmds.Push(c) {
+		if q.onSpill != nil {
+			q.onSpill(q.name, 1)
 		}
 		return
 	}
-	q.mu.Lock()
-	q.spill = append(q.spill, c)
-	q.spillPending.Add(1)
-	q.spills.Add(1)
-	if q.onSpill != nil {
-		q.onSpill(q.name, 1)
+	// Refilled commands count as back in the hardware queue, which
+	// never holds more than its capacity.
+	if d := int64(min(q.cmds.Len(), q.cmds.Cap())); d > q.maxDepth.Load() {
+		q.maxDepth.Store(d)
 	}
-	q.mu.Unlock()
 }
 
-// pop removes the oldest command; single consumer. Service order is
-// staged refills, then the hardware ring, then a fresh refill from
-// the spill buffer — which is exactly age order (see type comment).
-func (q *ringQueue) pop() (Command, bool) {
-	if q.stagedHead < len(q.staged) {
-		c := q.staged[q.stagedHead]
-		q.staged[q.stagedHead] = Command{}
-		q.stagedHead++
-		q.stagedPending.Add(-1)
-		if q.stagedHead == len(q.staged) {
-			q.staged = q.staged[:0]
-			q.stagedHead = 0
-		}
-		q.pops.Add(1)
-		return c, true
-	}
-	if c, ok := q.hw.Pop(); ok {
+// pop removes the oldest command into *dst (straight into the
+// caller's batch: a Command is 21 words, and every hand-off by value
+// copies it); single consumer.
+func (q *ringQueue) pop(dst *Command) (ok bool) {
+	*dst, ok = q.cmds.Pop()
+	if q.staged > 0 {
+		q.staged--
+	} else {
 		q.serving = false
+	}
+	if ok {
 		q.pops.Add(1)
-		return c, true
 	}
-	if q.spillPending.Load() == 0 {
-		q.serving = false
-		return Command{}, false
-	}
-	q.refill()
-	return q.pop()
+	return ok
 }
 
-// refill models the OS interrupt that moves spilled commands back
-// toward the queue: up to one ring's worth of commands per interrupt,
-// staged consumer-side. A contiguous spill-service episode counts one
-// interrupt, however many refill batches it takes.
-func (q *ringQueue) refill() {
-	q.mu.Lock()
-	n := len(q.spill) - q.spillHead
-	if max := q.hw.Cap(); n > max {
-		n = max
-	}
-	q.staged = append(q.staged[:0], q.spill[q.spillHead:q.spillHead+n]...)
-	q.stagedHead = 0
-	q.spillHead += n
-	if q.spillHead == len(q.spill) {
-		q.spill = q.spill[:0]
-		q.spillHead = 0
-	}
-	q.spillPending.Add(int64(-n))
-	q.stagedPending.Add(int64(n))
+// refilled observes the OS interrupt that moves spilled commands back
+// toward the queue: up to one ring's worth per refill, called from
+// inside q.cmds.Pop on the consumer.
+func (q *ringQueue) refilled(n int) {
+	q.staged += n
 	q.refills.Add(int64(n))
 	if !q.serving {
 		q.serving = true
@@ -138,20 +96,13 @@ func (q *ringQueue) refill() {
 	if q.onRefill != nil {
 		q.onRefill(q.name, n)
 	}
-	q.mu.Unlock()
-}
-
-// length reports queued commands (ring + spill + staged); exact for
-// the consumer, a point-in-time approximation for anyone else.
-func (q *ringQueue) length() int {
-	return q.hw.Len() + int(q.spillPending.Load()) + int(q.stagedPending.Load())
 }
 
 func (q *ringQueue) snapshot() QueueStats {
 	return QueueStats{
 		Pushes:     q.pushes.Load(),
 		Pops:       q.pops.Load(),
-		Spills:     q.spills.Load(),
+		Spills:     q.cmds.Spills(),
 		Refills:    q.refills.Load(),
 		Interrupts: q.interrupts.Load(),
 		MaxDepth:   int(q.maxDepth.Load()),
@@ -163,11 +114,9 @@ func (q *ringQueue) snapshot() QueueStats {
 // goroutine (the SPMD discipline: one program goroutine per cell
 // issues all user, system and remote-access commands). The two reply
 // queues stay mutex-guarded: replies are pushed from delivery
-// context, which under the sync-delivery fallback can be any worker.
+// context, which under inline transport can be any worker.
 type ringFront struct {
-	user   ringQueue
-	sys    ringQueue
-	remote ringQueue
+	user, sys, remote *ringQueue
 
 	replyMu      sync.Mutex
 	getReply     *Queue
@@ -182,11 +131,8 @@ type ringFront struct {
 
 // NewRing builds an MSC+ whose queue storage is the lock-free ring
 // front: send queues on SPSC rings with DRAM spill, reply queues
-// mutex-guarded, pops non-blocking (TryNextBatch). notify is the
-// doorbell rung after every push — the machine points it at the
-// delivery worker that owns the cell. Blocking Next/NextBatch are
-// still available (they poll); the ring-wire machine never calls
-// them.
+// mutex-guarded. notify is the doorbell rung after every push — the
+// machine points it at the delivery worker that owns the cell.
 func NewRing(words int, notify func()) *MSC {
 	if notify == nil {
 		notify = func() {}
@@ -221,7 +167,7 @@ func (f *ringFront) pushReply(q *Queue, c Command) {
 
 // tryNextBatch fills buf with up to len(buf) pending commands without
 // blocking, in the hardware's priority order (replies first),
-// evaluated once per activation like NextBatch.
+// evaluated once per activation.
 func (f *ringFront) tryNextBatch(buf []Command) int {
 	n := 0
 	if f.replyPending.Load() > 0 {
@@ -241,13 +187,8 @@ func (f *ringFront) tryNextBatch(buf []Command) int {
 			f.replyPending.Add(int64(-n))
 		}
 	}
-	for _, q := range []*ringQueue{&f.remote, &f.sys, &f.user} {
-		for n < len(buf) {
-			c, ok := q.pop()
-			if !ok {
-				break
-			}
-			buf[n] = c
+	for _, q := range []*ringQueue{f.remote, f.sys, f.user} {
+		for n < len(buf) && q.pop(&buf[n]) {
 			n++
 		}
 	}
@@ -258,5 +199,5 @@ func (f *ringFront) pending() int {
 	f.replyMu.Lock()
 	replies := f.getReply.Len() + f.rloadReply.Len()
 	f.replyMu.Unlock()
-	return replies + f.user.length() + f.sys.length() + f.remote.length()
+	return replies + f.user.cmds.Len() + f.sys.cmds.Len() + f.remote.cmds.Len()
 }

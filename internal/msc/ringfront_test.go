@@ -2,6 +2,7 @@ package msc
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -67,34 +68,50 @@ func TestRingFrontPriority(t *testing.T) {
 // TestRingFrontConcurrent runs a producer goroutine against a
 // consumer with the doorbell wired, under -race in make verify: every
 // command arrives exactly once in order, and the notify count is
-// nonzero (the doorbell actually rings).
+// nonzero (the doorbell actually rings). The ring holds two commands
+// and the producer pushes three without yielding each time the front
+// runs dry, so a full ring plus one spill keeps landing inside the
+// consumer's "ring empty, anything spilled?" window (see
+// ring.TestOverflowConcurrentFIFO).
 func TestRingFrontConcurrent(t *testing.T) {
 	var rings atomic.Int64
-	m := NewRing(QueueWords, func() { rings.Add(1) })
-	const total = 20000
+	m := NewRing(2*CommandWords, func() { rings.Add(1) })
+	const total = 1500
+	var failed atomic.Bool // stops the producer once the consumer gave up
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
-		for i := 0; i < total; i++ {
-			m.PushUser(Command{Tag: int64(i)})
-			if i%3 == 0 {
+		defer wg.Done()
+		for i := 0; i < total && !failed.Load(); {
+			for m.Pending() != 0 && !failed.Load() {
 				runtime.Gosched()
+			}
+			for k := 0; k < 3 && i < total; k++ {
+				m.PushUser(Command{Tag: int64(i)})
+				i++
 			}
 		}
 	}()
 	var buf [32]Command
-	seen := 0
-	for seen < total {
+	idle := 0
+	for seen := 0; seen < total; {
 		n := m.TryNextBatch(buf[:])
 		if n == 0 {
-			runtime.Gosched()
+			if idle++; idle%64 == 0 {
+				runtime.Gosched()
+			}
 			continue
 		}
 		for i := 0; i < n; i++ {
 			if buf[i].Tag != int64(seen) {
+				failed.Store(true)
+				wg.Wait()
 				t.Fatalf("command %d: got tag %d (lost or reordered)", seen, buf[i].Tag)
 			}
 			seen++
 		}
 	}
+	wg.Wait()
 	if rings.Load() == 0 {
 		t.Error("doorbell never rang")
 	}
@@ -105,8 +122,8 @@ func TestRingFrontConcurrent(t *testing.T) {
 func TestRingFrontCloseAndPanic(t *testing.T) {
 	m := NewRing(QueueWords, nil)
 	m.Close()
-	if _, ok := m.Next(); ok {
-		t.Error("Next returned a command from a closed empty MSC")
+	if _, ok := m.TryNext(); ok {
+		t.Error("TryNext returned a command from a closed empty MSC")
 	}
 	defer func() {
 		if recover() == nil {

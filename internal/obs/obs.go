@@ -87,15 +87,15 @@ type CellCounters struct {
 // CellSnapshot is the plain-integer copy of a CellCounters block,
 // suitable for JSON encoding and table rendering.
 type CellSnapshot struct {
-	Put, PutS, Get, GetS, AckGet  int64
-	Send                          int64
-	RemoteStore, RemoteLoad       int64
-	PutBytes, GetBytes, SendBytes int64
-	RecvDMAs, DeliveredBytes      int64
-	Spills, Refills               int64
-	Interrupts                    int64
-	FlagWaits, FlagWaitNanos      int64
-	Barriers, BarrierStallNanos   int64
+	Put, PutS, Get, GetS, AckGet     int64
+	Send                             int64
+	RemoteStore, RemoteLoad          int64
+	PutBytes, GetBytes, SendBytes    int64
+	RecvDMAs, DeliveredBytes         int64
+	Spills, Refills                  int64
+	Interrupts                       int64
+	FlagWaits, FlagWaitNanos         int64
+	Barriers, BarrierStallNanos      int64
 	Retransmits, BackoffNanos        int64
 	Dedups, CorruptDetected          int64
 	CellFaults                       int64

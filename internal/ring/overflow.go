@@ -14,7 +14,9 @@ import (
 // consumer has taken every spilled item, so ring entries are always
 // older than spill entries. The consumer never refills the ring (that
 // would make it a second producer); it stages spilled items into a
-// consumer-local buffer served before the ring.
+// consumer-local buffer served before the ring. This is the only copy
+// of that algorithm: tnet's RingLink and the MSC+ send queues
+// (msc.NewRing) both store their items here.
 type Overflow[T any] struct {
 	hw *SPSC[T]
 
@@ -29,6 +31,10 @@ type Overflow[T any] struct {
 	staged        []T
 	stagedHead    int
 	stagedPending atomic.Int64
+
+	// onRefill, when set, is told how many items each staging pass
+	// moved; it runs on the consumer with no lock held.
+	onRefill func(n int)
 }
 
 // NewOverflow builds an Overflow whose fast-path ring holds at least
@@ -37,16 +43,23 @@ func NewOverflow[T any](capacity int) *Overflow[T] {
 	return &Overflow[T]{hw: New[T](capacity)}
 }
 
-// Push appends v; it never fails. Single producer.
-func (o *Overflow[T]) Push(v T) {
+// SetRefillObserver installs the staging-pass observer (the MSC+
+// counts OS refill interrupts through it). Install before traffic
+// flows.
+func (o *Overflow[T]) SetRefillObserver(fn func(n int)) { o.onRefill = fn }
+
+// Push appends v; it never fails, and reports whether v went to the
+// spill buffer instead of the ring. Single producer.
+func (o *Overflow[T]) Push(v T) (spilled bool) {
 	if o.spillPending.Load() == 0 && o.hw.Push(v) {
-		return
+		return false
 	}
 	o.mu.Lock()
 	o.spill = append(o.spill, v)
 	o.spillPending.Add(1)
 	o.spills.Add(1)
 	o.mu.Unlock()
+	return true
 }
 
 // Pop removes the oldest item. Single consumer. Service order —
@@ -71,6 +84,14 @@ func (o *Overflow[T]) Pop() (v T, ok bool) {
 	if o.spillPending.Load() == 0 {
 		return v, false
 	}
+	// The producer may have filled the ring and spilled between the
+	// failed ring pop and the load above; staging now would serve the
+	// spilled item a ring's worth too early. A nonzero spillPending
+	// pins the producer in spill mode, so one more look at the ring is
+	// conclusive: whatever it holds is older than the whole spill.
+	if v, ok = o.hw.Pop(); ok {
+		return v, true
+	}
 	o.mu.Lock()
 	n := len(o.spill) - o.spillHead
 	if max := o.hw.Cap(); n > max {
@@ -92,6 +113,9 @@ func (o *Overflow[T]) Pop() (v T, ok bool) {
 	o.spillPending.Add(int64(-n))
 	o.stagedPending.Add(int64(n))
 	o.mu.Unlock()
+	if o.onRefill != nil {
+		o.onRefill(n)
+	}
 	return o.Pop()
 }
 

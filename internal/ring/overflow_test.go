@@ -2,6 +2,8 @@ package ring
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -32,35 +34,48 @@ func TestOverflowFIFOThroughSpill(t *testing.T) {
 
 // TestOverflowConcurrentFIFO is the concurrent property: a producer
 // racing a consumer through ring-full/spill transitions must preserve
-// order exactly (run under -race in make verify).
+// order exactly (run under -race in make verify). The producer waits
+// for the queue to run dry and then pushes capacity+1 items without
+// yielding — a full ring plus one spill landing while the consumer is
+// between "ring empty" and "anything spilled?", the window in which a
+// Pop that does not re-check the ring serves the spilled item first.
 func TestOverflowConcurrentFIFO(t *testing.T) {
-	o := NewOverflow[uint64](4)
-	const total = 100000
-	done := make(chan bool, 1)
+	o := NewOverflow[uint64](2)
+	burst := uint64(o.Cap() + 1)
+	const total = 9000
+	var failed atomic.Bool // stops the producer once the consumer gave up
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
-		var want uint64
-		for want < total {
-			v, ok := o.Pop()
-			if !ok {
+		defer wg.Done()
+		for i := uint64(0); i < total && !failed.Load(); {
+			for o.Len() != 0 && !failed.Load() {
 				runtime.Gosched()
-				continue
 			}
-			if v != want {
-				done <- false
-				return
+			for k := uint64(0); k < burst && i < total; k++ {
+				o.Push(i)
+				i++
 			}
-			want++
 		}
-		_, extra := o.Pop()
-		done <- !extra
 	}()
-	for i := uint64(0); i < total; i++ {
-		o.Push(i)
-		if i%1024 == 0 {
-			runtime.Gosched()
+	idle := 0
+	for want := uint64(0); want < total; {
+		v, ok := o.Pop()
+		if !ok {
+			if idle++; idle%64 == 0 {
+				runtime.Gosched()
+			}
+			continue
 		}
+		if v != want {
+			failed.Store(true)
+			wg.Wait()
+			t.Fatalf("popped %d, want %d: overflow queue lost, duplicated or reordered an item", v, want)
+		}
+		want++
 	}
-	if !<-done {
-		t.Fatal("overflow queue lost, duplicated or reordered an item")
+	wg.Wait()
+	if _, extra := o.Pop(); extra {
+		t.Fatal("phantom item after the last one")
 	}
 }

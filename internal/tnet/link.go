@@ -12,11 +12,10 @@ import (
 // full fast path spills, as the hardware spills to DRAM); the owning
 // consumer Drains in FIFO order. The SPSC contract applies per link:
 // one producing shard calls Enqueue, one consuming shard calls Drain.
-// Two implementations exist — the lock-free RingLink the ring wire
+// Two implementations exist — the lock-free RingLink the machine
 // runs on, and the mutex-guarded MutexLink kept as the
 // obviously-correct reference for differential testing
-// (TestLinkImplsEquivalent here; the machine-level wire differential
-// compares whole wire builds).
+// (TestLinkImplsEquivalent).
 type Link interface {
 	// Enqueue appends a packet (producer side).
 	Enqueue(Packet)

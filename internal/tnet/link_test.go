@@ -2,7 +2,6 @@ package tnet
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"ap1000plus/internal/msc"
@@ -53,7 +52,9 @@ func TestLinkImplsEquivalent(t *testing.T) {
 
 // TestRingWireOrderAndDrain drives the ring wire directly: cross- and
 // same-shard sends preserve per-(src,dst) order, the wake callback
-// fires for cross-shard traffic, and DrainInbox empties the links.
+// fires for cross-shard traffic, track counts every cross-shard packet
+// up before its enqueue and down after its delivery, and DrainInbox
+// empties the links.
 func TestRingWireOrderAndDrain(t *testing.T) {
 	tor := topology.MustTorus(2, 2)
 	n := New(tor)
@@ -67,7 +68,16 @@ func TestRingWireOrderAndDrain(t *testing.T) {
 			return true
 		})
 	}
-	n.SetRingWire(shards, 4, func(s int) { woken[s]++ }, false, nil)
+	var pending, tracked int64
+	n.SetRingWire(shards, 4, func(s int) { woken[s]++ }, false, func(dst topology.CellID, delta int64) {
+		if dst != 1 {
+			t.Errorf("tracked a packet for cell %d; only cell 1 is cross-shard", dst)
+		}
+		pending += delta
+		if delta > 0 {
+			tracked++
+		}
+	})
 
 	// Cell 0 (shard 0) sends interleaved streams to cell 2 (shard 0,
 	// inline) and cell 1 (shard 1, cross-shard).
@@ -78,16 +88,19 @@ func TestRingWireOrderAndDrain(t *testing.T) {
 	if got := len(recvd[2]); got != 100 {
 		t.Fatalf("inline same-shard deliveries = %d, want 100", got)
 	}
-	if n.PendingPackets() != 100 {
-		t.Fatalf("PendingPackets = %d, want 100", n.PendingPackets())
+	if pending != 100 {
+		t.Fatalf("tracked pending = %d, want 100", pending)
 	}
 	if woken[1] == 0 {
 		t.Fatal("cross-shard sends never woke the consuming shard")
 	}
-	for n.PendingPackets() > 0 {
-		if n.DrainInbox(1, 16) == 0 {
-			runtime.Gosched()
+	drained := 0
+	for pending > 0 {
+		got := n.DrainInbox(1, 16)
+		if got == 0 {
+			t.Fatalf("inbox ran dry with %d packets still tracked", pending)
 		}
+		drained += got
 	}
 	for _, dst := range []topology.CellID{1, 2} {
 		for i, tag := range recvd[dst] {
@@ -100,7 +113,7 @@ func TestRingWireOrderAndDrain(t *testing.T) {
 	if st.Messages != 200 || st.PerOp[msc.OpPut] != 200 {
 		t.Errorf("stats: %d messages, %d puts, want 200/200", st.Messages, st.PerOp[msc.OpPut])
 	}
-	if ls := n.LinkStatsTotal(); ls.Enqueued != 100 || ls.Drained != 100 {
-		t.Errorf("link stats: %+v, want 100 enqueued and drained", ls)
+	if tracked != 100 || drained != 100 {
+		t.Errorf("tracked %d and drained %d cross-shard packets, want 100 each", tracked, drained)
 	}
 }

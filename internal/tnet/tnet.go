@@ -3,25 +3,23 @@
 // The T-net routes statically (dimension order) and therefore
 // delivers messages between a given pair of cells in order — the
 // property S4.1's GET-as-acknowledge trick depends on. The functional
-// simulator preserves that property structurally, in one of two wire
-// builds:
+// simulator preserves that property structurally. Every packet with
+// Src=A is transmitted by the one delivery worker that owns cell A,
+// in A's command order, and then takes one of two routes:
 //
-//   - The sync (mutex) wire: each cell's single send controller
-//     processes its commands FIFO and delivers each packet
-//     synchronously on the calling goroutine, so two messages from A
-//     to B can never overtake each other. This is also the only build
-//     that can report a per-attempt verdict to the reliable layer, so
-//     fault plans always run on it.
+//   - Inline: the destination's receive controller runs on the
+//     calling goroutine before Send returns, so two messages from A to
+//     B can never overtake each other. Send's result is the handler's
+//     verdict, which is what the reliable layer retransmits on, so a
+//     network with a fault injector always delivers inline.
 //
-//   - The ring wire (SetRingWire): cells are partitioned over a small
+//   - Over a link (SetRingWire): cells are partitioned over a small
 //     number of delivery shards, and each ordered pair of shards gets
 //     one Link — an SPSC ring with spill (RingLink). A packet from A
-//     to B goes over the (shard(A), shard(B)) link and is delivered
-//     by B's owning shard; A's commands are processed FIFO by A's own
-//     shard (every packet with Src=A is transmitted from that shard),
-//     and the link preserves FIFO, so the A→B stream stays in order.
-//     Same-shard traffic is delivered inline, which is trivially in
-//     order.
+//     to B in another shard goes over the (shard(A), shard(B)) link
+//     and is delivered by B's owning shard; the link preserves FIFO,
+//     so the A→B stream stays in order. Same-shard traffic is
+//     delivered inline.
 //
 // Link bandwidth (25 MB/s x 4 links per cell) and hop latency matter
 // only to the timing model (MLSim); here the network accounts traffic
@@ -50,16 +48,22 @@ type Packet struct {
 	Head    msc.Command
 	Payload *mem.Payload
 	// SanTid identifies the sanitizer thread executing this packet's
-	// delivery (the sending controller — delivery is synchronous on
-	// its goroutine). -1 when the machine is not sanitized.
+	// delivery (the sending controller — a sanitized machine delivers
+	// inline). -1 when the machine is not sanitized.
 	SanTid int
-	// FreeOnDeliver transfers payload ownership to the wire: the ring
-	// wire releases the payload to its pool after the destination's
-	// handler returns. Senders set it where the sync wire would have
-	// released after Send; it is never set on the sync wire (the
-	// sender still owns the payload there) or under a fault plan
-	// (retransmission needs the payload alive).
+	// FreeOnDeliver transfers payload ownership to the wire, which
+	// releases the payload to its pool after the destination's handler
+	// returns — on whichever goroutine that is. Never set under a
+	// fault plan: retransmission and the reorder limbo need the
+	// payload alive.
 	FreeOnDeliver bool
+	// Inline delivers on the calling goroutine even where a link
+	// exists, for control packets that must have been applied when
+	// Send returns or that are sent from a goroutine which is not the
+	// link's producer (DSM invalidations and eviction notices). Such a
+	// packet may overtake its stream's packets still on the link, and
+	// its handler runs off the destination's own shard.
+	Inline bool
 }
 
 // Handler consumes a packet at its destination cell — the receive
@@ -88,10 +92,16 @@ func (s Stats) MeanDistance() float64 {
 
 // Network is the T-net fabric connecting every cell's MSC+.
 type Network struct {
-	torus    *topology.Torus
+	torus *topology.Torus
+	// handlers, inj, ring and partOf are written only before traffic
+	// flows (Attach, SetFault, SetRingWire, SetPartitions), so the hot
+	// path reads them without a lock; mu guards set-up and limbo.
 	mu       sync.Mutex
 	handlers []Handler
-	stats    Stats
+	// stats is sharded by sending shard so the hot path takes no lock:
+	// one shard on a bare network, one per delivery shard once
+	// SetRingWire has armed the links.
+	stats []wireShardStats
 	// inj, when non-nil, decides a wire fate for every transmission
 	// attempt (fault layer). limbo holds reordered packets per
 	// (src, dst, class) stream; a held packet is released — late, hence
@@ -100,17 +110,16 @@ type Network struct {
 	// goroutine (or in FlushHeld's quiescent drain).
 	inj   *fault.Injector
 	limbo map[streamKey][]Packet
-	// ring, when non-nil, replaces synchronous delivery with the
-	// lock-free ring wire (SetRingWire). Mutually exclusive with inj.
+	// ring, when non-nil, carries cross-shard packets over per-shard-
+	// pair links (SetRingWire). Mutually exclusive with inj.
 	ring *ringWire
 	// partOf, when non-nil, maps each cell to its machine partition;
 	// a cross-partition Send panics — partitions have physically
-	// disjoint T-net routing. Written once before traffic flows.
+	// disjoint T-net routing.
 	partOf []int32
 }
 
-// ringWire is the lock-free wire: one Link per ordered shard pair,
-// stats sharded so the hot path takes no lock.
+// ringWire is the link matrix: one Link per ordered shard pair.
 type ringWire struct {
 	shards int
 	// links[consumer][producer]: the conduit from producing shard to
@@ -119,17 +128,17 @@ type ringWire struct {
 	// wake nudges a consuming shard's delivery worker after a
 	// cross-shard enqueue.
 	wake func(shard int)
-	// pending counts enqueued-but-undelivered cross-shard packets; a
-	// packet is uncounted only after its handler has returned, so the
-	// machine's drain barrier (inflight + pending both zero) cannot
-	// fire while a delivery is still executing.
-	pending atomic.Int64
-	// track, when non-nil, mirrors pending per destination: +1 before
-	// a cross-shard enqueue, -1 after the handler returns. The machine
-	// points it at the destination partition's quiesce counter so each
-	// partition drains independently.
+	// track, when non-nil, counts undelivered cross-shard packets per
+	// destination: +1 before the enqueue, -1 only after the handler
+	// has returned, so a drain barrier on it cannot fire while a
+	// delivery is still executing. The machine points it at the
+	// destination partition's quiesce counter so each partition drains
+	// independently.
 	track func(dst topology.CellID, delta int64)
-	stats []wireShardStats
+	// deliver is DrainInbox's per-packet step, built once here: a
+	// closure built per drain escapes through Link.Drain and would
+	// cost an allocation per cross-shard delivery.
+	deliver func(Packet)
 }
 
 // wireShardStats is one shard's traffic counters, padded so shards do
@@ -150,7 +159,7 @@ type streamKey struct {
 
 // New builds a T-net over the torus.
 func New(t *topology.Torus) *Network {
-	return &Network{torus: t, handlers: make([]Handler, t.Cells())}
+	return &Network{torus: t, handlers: make([]Handler, t.Cells()), stats: make([]wireShardStats, 1)}
 }
 
 // Torus exposes the network geometry.
@@ -193,7 +202,7 @@ func (n *Network) SetFault(inj *fault.Injector) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if inj != nil && n.ring != nil {
-		panic("tnet: fault injection requires the sync wire (per-attempt verdicts)")
+		panic("tnet: fault injection requires inline delivery (per-attempt verdicts)")
 	}
 	n.inj = inj
 	if inj != nil && n.limbo == nil {
@@ -201,17 +210,16 @@ func (n *Network) SetFault(inj *fault.Injector) {
 	}
 }
 
-// SetRingWire switches the network onto the lock-free ring wire:
-// cells are partitioned over shards delivery shards (cell id mod
-// shards), each ordered shard pair gets one Link with a linkCap-deep
-// fast path, and wake is called with the consuming shard after every
-// cross-shard enqueue. track, when non-nil, mirrors the pending
-// counter per destination cell (+1 before enqueue, -1 after the
-// handler returns) — the machine's per-partition drain doorbell.
-// mutexLinks selects the reference MutexLink build instead of
-// RingLink (differential testing). Install before traffic flows;
-// incompatible with a fault injector — the reliable layer needs the
-// sync wire's per-attempt verdict.
+// SetRingWire arms the link matrix: cells are partitioned over shards
+// delivery shards (cell id mod shards), each ordered shard pair gets
+// one Link with a linkCap-deep fast path, and wake is called with the
+// consuming shard after every cross-shard enqueue. track, when
+// non-nil, counts undelivered cross-shard packets per destination
+// cell (+1 before enqueue, -1 after the handler returns) — the
+// machine's per-partition drain doorbell. mutexLinks selects the
+// reference MutexLink build instead of RingLink. Install before
+// traffic flows; incompatible with a fault injector — the reliable
+// layer needs inline delivery's per-attempt verdict.
 func (n *Network) SetRingWire(shards, linkCap int, wake func(shard int), mutexLinks bool, track func(dst topology.CellID, delta int64)) {
 	if shards <= 0 {
 		panic(fmt.Sprintf("tnet: %d delivery shards", shards))
@@ -219,18 +227,12 @@ func (n *Network) SetRingWire(shards, linkCap int, wake func(shard int), mutexLi
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.inj != nil {
-		panic("tnet: ring wire requires no fault injector")
+		panic("tnet: links require no fault injector")
 	}
 	if wake == nil {
 		wake = func(int) {}
 	}
-	rw := &ringWire{
-		shards: shards,
-		links:  make([][]Link, shards),
-		wake:   wake,
-		track:  track,
-		stats:  make([]wireShardStats, shards),
-	}
+	rw := &ringWire{shards: shards, links: make([][]Link, shards), wake: wake, track: track}
 	for cons := range rw.links {
 		rw.links[cons] = make([]Link, shards)
 		for prod := range rw.links[cons] {
@@ -241,89 +243,75 @@ func (n *Network) SetRingWire(shards, linkCap int, wake func(shard int), mutexLi
 			}
 		}
 	}
+	rw.deliver = func(p Packet) {
+		n.deliver(p)
+		if track != nil {
+			track(p.Head.Dst, -1)
+		}
+	}
 	n.ring = rw
+	n.stats = make([]wireShardStats, shards)
 }
 
-// Send routes a packet to its destination and runs the destination's
-// receive controller on the calling goroutine. Ordering guarantee:
-// calls from the same goroutine to the same destination are processed
-// in call order (static routing, in-order links). It reports whether
-// the destination accepted the packet; with a fault plan installed the
-// packet may instead be dropped, corrupted, duplicated or held back,
-// and the reliable layer reads false as "retransmit". Every call
-// counts as one wire message (attempts, not unique packets).
+// Send routes a packet to its destination. Ordering guarantee: calls
+// from the same goroutine to the same destination are processed in
+// call order (static routing, in-order links). Without a link matrix,
+// and for same-shard traffic with one, the destination's receive
+// controller runs on the calling goroutine and Send reports whether it
+// accepted the packet; a cross-shard packet rides its link, the
+// consuming shard is woken, and Send reports true. With a fault plan
+// installed the packet may instead be dropped, corrupted, duplicated
+// or held back, and the reliable layer reads false as "retransmit".
+// Every call counts as one wire message (attempts, not unique
+// packets).
 func (n *Network) Send(p Packet) bool {
-	dst := p.Head.Dst
+	src, dst := p.Head.Src, p.Head.Dst
 	if !n.torus.Valid(dst) {
 		panic(fmt.Sprintf("tnet: send to invalid cell %d", dst))
 	}
-	if of := n.partOf; of != nil && of[p.Head.Src] != of[dst] {
+	if of := n.partOf; of != nil && of[src] != of[dst] {
 		panic(fmt.Sprintf("tnet: cross-partition send %d->%d (partition %d -> %d): partitions have disjoint T-net routing",
-			p.Head.Src, dst, of[p.Head.Src], of[dst]))
+			src, dst, of[src], of[dst]))
 	}
-	if rw := n.ring; rw != nil {
-		return n.sendRing(rw, p)
-	}
-	n.mu.Lock()
-	h := n.handlers[dst]
-	inj := n.inj
-	n.stats.Messages++
-	n.stats.Bytes += p.Payload.Size()
-	n.stats.HopsTotal += int64(n.torus.Distance(p.Head.Src, dst))
-	if op := int(p.Head.Op); op < len(n.stats.PerOp) {
-		n.stats.PerOp[op]++
-	}
-	n.mu.Unlock()
-	if h == nil {
-		panic(fmt.Sprintf("tnet: cell %d has no receive controller", dst))
-	}
-	if inj == nil {
-		return h(p)
-	}
-	return n.faultySend(inj, h, p)
-}
-
-// sendRing is Send on the lock-free wire. Stats go to the sending
-// shard's padded counters; same-shard packets are delivered inline on
-// the calling worker (trivially in order), cross-shard packets ride
-// the (producer, consumer) link and the consuming shard is woken.
-// There is no fault injector on this wire, so the verdict is always
-// the handler's own.
-func (n *Network) sendRing(rw *ringWire, p Packet) bool {
-	prod := int(p.Head.Src) % rw.shards
-	cons := int(p.Head.Dst) % rw.shards
-	s := &rw.stats[prod]
+	s := &n.stats[int(src)%len(n.stats)]
 	s.messages.Add(1)
 	s.bytes.Add(p.Payload.Size())
-	s.hops.Add(int64(n.torus.Distance(p.Head.Src, p.Head.Dst)))
+	s.hops.Add(int64(n.torus.Distance(src, dst)))
 	if op := int(p.Head.Op); op < len(s.perOp) {
 		s.perOp[op].Add(1)
 	}
-	if prod == cons {
-		return n.deliverRing(p)
+	if inj := n.inj; inj != nil {
+		return n.faultySend(inj, n.handler(dst), p)
 	}
-	// Count before the enqueue: once the packet is in the link the
-	// consumer may deliver and decrement at any moment, and the
-	// counters must never dip to zero with a delivery outstanding.
-	rw.pending.Add(1)
-	if rw.track != nil {
-		rw.track(p.Head.Dst, 1)
+	if rw := n.ring; rw != nil && !p.Inline {
+		if prod, cons := int(src)%rw.shards, int(dst)%rw.shards; prod != cons {
+			// Count before the enqueue: once the packet is in the link
+			// the consumer may deliver and uncount it at any moment.
+			if rw.track != nil {
+				rw.track(dst, 1)
+			}
+			rw.links[cons][prod].Enqueue(p)
+			rw.wake(cons)
+			return true
+		}
 	}
-	rw.links[cons][prod].Enqueue(p)
-	rw.wake(cons)
-	return true
+	return n.deliver(p)
 }
 
-// deliverRing hands a packet to its destination's receive controller
-// and, when the sender transferred ownership, returns the payload to
-// its pool. The handlers slice is written only during Attach, before
-// any worker starts, so the read needs no lock.
-func (n *Network) deliverRing(p Packet) bool {
-	h := n.handlers[p.Head.Dst]
+// handler returns dst's receive controller.
+func (n *Network) handler(dst topology.CellID) Handler {
+	h := n.handlers[dst]
 	if h == nil {
-		panic(fmt.Sprintf("tnet: cell %d has no receive controller", p.Head.Dst))
+		panic(fmt.Sprintf("tnet: cell %d has no receive controller", dst))
 	}
-	ok := h(p)
+	return h
+}
+
+// deliver hands a packet to its destination's receive controller and,
+// when the sender transferred ownership, returns the payload to its
+// pool.
+func (n *Network) deliver(p Packet) bool {
+	ok := n.handler(p.Head.Dst)(p)
 	if p.FreeOnDeliver && p.Payload != nil {
 		p.Payload.Release()
 	}
@@ -333,51 +321,17 @@ func (n *Network) deliverRing(p Packet) bool {
 // DrainInbox delivers up to max pending packets destined for the
 // given consuming shard (across all producing shards' links) and
 // reports how many. Only the shard's owning worker may call it — it
-// is the consumer side of the shard's SPSC links. The pending counter
-// is decremented after each handler returns, so a quiesce barrier on
-// PendingPackets cannot pass mid-delivery.
+// is the consumer side of the shard's SPSC links.
 func (n *Network) DrainInbox(shard, max int) int {
 	rw := n.ring
 	if rw == nil {
 		return 0
 	}
 	total := 0
-	for prod := 0; prod < rw.shards; prod++ {
-		total += rw.links[shard][prod].Drain(max, func(p Packet) {
-			n.deliverRing(p)
-			rw.pending.Add(-1)
-			if rw.track != nil {
-				rw.track(p.Head.Dst, -1)
-			}
-		})
+	for _, l := range rw.links[shard] {
+		total += l.Drain(max, rw.deliver)
 	}
 	return total
-}
-
-// PendingPackets reports cross-shard packets enqueued on the ring
-// wire whose delivery has not yet completed; 0 on the sync wire.
-func (n *Network) PendingPackets() int64 {
-	if rw := n.ring; rw != nil {
-		return rw.pending.Load()
-	}
-	return 0
-}
-
-// LinkStatsTotal aggregates every ring-wire link's counters; zero on
-// the sync wire.
-func (n *Network) LinkStatsTotal() LinkStats {
-	var t LinkStats
-	if rw := n.ring; rw != nil {
-		for _, row := range rw.links {
-			for _, l := range row {
-				s := l.Stats()
-				t.Enqueued += s.Enqueued
-				t.Drained += s.Drained
-				t.Spills += s.Spills
-			}
-		}
-	}
-	return t
 }
 
 // faultySend applies the injected wire fate to one transmission
@@ -468,30 +422,21 @@ func (n *Network) FlushHeldWhere(match func(src, dst topology.CellID) bool) int 
 	}
 	n.mu.Unlock()
 	for _, p := range all {
-		n.mu.Lock()
-		h := n.handlers[p.Head.Dst]
-		n.mu.Unlock()
-		h(p)
+		n.handler(p.Head.Dst)(p)
 	}
 	return len(all)
 }
 
-// Stats snapshots traffic counters, aggregating the ring wire's
-// per-shard counters when it is active.
+// Stats snapshots traffic counters, summed over the shards.
 func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	s := n.stats
-	rw := n.ring
-	n.mu.Unlock()
-	if rw != nil {
-		for i := range rw.stats {
-			sh := &rw.stats[i]
-			s.Messages += sh.messages.Load()
-			s.Bytes += sh.bytes.Load()
-			s.HopsTotal += sh.hops.Load()
-			for op := range sh.perOp {
-				s.PerOp[op] += sh.perOp[op].Load()
-			}
+	var s Stats
+	for i := range n.stats {
+		sh := &n.stats[i]
+		s.Messages += sh.messages.Load()
+		s.Bytes += sh.bytes.Load()
+		s.HopsTotal += sh.hops.Load()
+		for op := range sh.perOp {
+			s.PerOp[op] += sh.perOp[op].Load()
 		}
 	}
 	return s

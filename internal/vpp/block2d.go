@@ -207,7 +207,7 @@ func (rt *Runtime) OverlapFixBlock2D(a *Block2D) error {
 			if err := is.putStride(core.Transfer{
 				To:     topology.CellID(left),
 				Remote: a.addr(left, rlo, col), Local: a.addr(r, rlo, col),
-				Ack:    true,
+				Ack: true,
 			}, colPat, colPat); err != nil {
 				return err
 			}
@@ -218,7 +218,7 @@ func (rt *Runtime) OverlapFixBlock2D(a *Block2D) error {
 			if err := is.putStride(core.Transfer{
 				To:     topology.CellID(right),
 				Remote: a.addr(right, rlo, col), Local: a.addr(r, rlo, col),
-				Ack:    true,
+				Ack: true,
 			}, colPat, colPat); err != nil {
 				return err
 			}

@@ -89,46 +89,58 @@ func TestCountersMatchTraceStats(t *testing.T) {
 	}
 }
 
+// issueAllocs measures allocations per warm run of op on cell 0 of an
+// unobserved 16-cell machine, once per delivery-worker count in
+// {1, 2, 8}: cell 0 → cell 1 is delivered inline with one worker and
+// over a link with more, and the verdict must not depend on which the
+// host's core count happens to pick.
+func issueAllocs(t *testing.T, what string, build func(comm *Comm, segs []*Segment) (op func())) {
+	if raceDetectorEnabled {
+		t.Skip("sync.Pool drops items under -race; zero-alloc not measurable")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		m, err := New(WithGrid(4, 4), WithMemoryPerCell(1<<20), WithDeliveryWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs := make([]*Segment, m.Cells())
+		for id := range segs {
+			segs[id], _, _ = m.Cell(CellID(id)).AllocFloat64("b", 64)
+		}
+		var allocs float64
+		err = m.Run(func(c *Cell) error {
+			if c.ID() != 0 {
+				return nil
+			}
+			op := build(NewComm(c), segs)
+			for i := 0; i < 100; i++ {
+				op() // warm the payload pool, queues, links and scheduler
+			}
+			allocs = testing.AllocsPerRun(200, op)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s allocates %.2f objects/op with Observe:false and %d delivery workers, want 0", what, allocs, workers)
+		}
+	}
+}
+
 // TestPutIssueZeroAllocUnobserved is the regression guard for the
 // zero-cost-when-disabled contract: with Observe off, an acknowledged
 // PUT round trip allocates nothing on the issue path once the payload
 // pool is warm.
 func TestPutIssueZeroAllocUnobserved(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("sync.Pool drops items under -race; zero-alloc not measurable")
-	}
-	m, err := New(WithGrid(2, 2), WithMemoryPerCell(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := make([]*Segment, 4)
-	for id := 0; id < 4; id++ {
-		segs[id], _, _ = m.Cell(CellID(id)).AllocFloat64("b", 64)
-	}
-	var allocs float64
-	err = m.Run(func(c *Cell) error {
-		if c.ID() != 0 {
-			return nil
-		}
-		comm := NewComm(c)
-		op := func() {
+	issueAllocs(t, "PUT issue path", func(comm *Comm, segs []*Segment) func() {
+		return func() {
 			if err := comm.Put(Transfer{To: 1, Remote: segs[1].Base(), Local: segs[0].Base(), Size: 8, Ack: true}); err != nil {
 				t.Error(err)
 			}
 			comm.AckWait()
 		}
-		for i := 0; i < 100; i++ {
-			op() // warm the payload pool, queues, and scheduler
-		}
-		allocs = testing.AllocsPerRun(200, op)
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Errorf("PUT issue path allocates %.2f objects/op with Observe:false, want 0", allocs)
-	}
 }
 
 // TestBatchIssueZeroAllocUnobserved extends the zero-cost contract to
@@ -136,24 +148,8 @@ func TestPutIssueZeroAllocUnobserved(t *testing.T) {
 // payload pool are warm, staging and committing a whole acknowledged
 // batch allocates nothing.
 func TestBatchIssueZeroAllocUnobserved(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("sync.Pool drops items under -race; zero-alloc not measurable")
-	}
-	m, err := New(WithGrid(2, 2), WithMemoryPerCell(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := make([]*Segment, 4)
-	for id := 0; id < 4; id++ {
-		segs[id], _, _ = m.Cell(CellID(id)).AllocFloat64("b", 64)
-	}
-	var allocs float64
-	err = m.Run(func(c *Cell) error {
-		if c.ID() != 0 {
-			return nil
-		}
-		comm := NewComm(c)
-		op := func() {
+	issueAllocs(t, "batched issue path", func(comm *Comm, segs []*Segment) func() {
+		return func() {
 			b := comm.Batch().Coalesce()
 			for k := 0; k < 8; k++ {
 				b.Put(Transfer{To: 1, Remote: segs[1].Base() + Addr(k*8), Local: segs[0].Base() + Addr(k*8), Size: 8, Ack: true})
@@ -163,16 +159,5 @@ func TestBatchIssueZeroAllocUnobserved(t *testing.T) {
 			}
 			comm.AckWait()
 		}
-		for i := 0; i < 100; i++ {
-			op() // warm the CommandList, payload pool, queues, scheduler
-		}
-		allocs = testing.AllocsPerRun(200, op)
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Errorf("batched issue path allocates %.2f objects/op with Observe:false, want 0", allocs)
-	}
 }

@@ -166,8 +166,8 @@ func WithTimeline(tl *Timeline) Option {
 
 // WithFault injects a deterministic seeded wire-fault plan (see
 // ParseFaultPlan) and arms the MSC+'s reliable-delivery path. Implies
-// WithObserve and synchronous packet delivery (retransmission reads
-// each send's verdict).
+// WithObserve and inline packet delivery (retransmission reads each
+// send's verdict).
 func WithFault(plan *FaultPlan) Option {
 	return func(b *builder) error {
 		if plan == nil {
@@ -188,41 +188,15 @@ func WithCombining() Option {
 	}
 }
 
-// WithMutexWire selects the legacy mutex+cond message path: one
-// controller goroutine per cell, synchronous delivery on the sender's
-// goroutine. The default is the lock-free ring wire; the mutex build
-// is kept as the differential-testing reference and for workloads
-// that push commands into one cell's MSC from several goroutines at
-// once (the ring wire's SPSC discipline forbids that). Conflicts with
-// WithDeliveryWorkers and WithMutexLinks.
-func WithMutexWire() Option {
-	return func(b *builder) error {
-		b.cfg.Wire = machine.WireMutex
-		return nil
-	}
-}
-
-// WithDeliveryWorkers sets the ring wire's delivery-shard count
-// (default min(GOMAXPROCS, cells)). Each cell is pinned to the worker
-// numbered id mod n. Conflicts with WithMutexWire.
+// WithDeliveryWorkers sets the delivery-worker count (default
+// min(GOMAXPROCS, cells); one per cell under WithCombining). Each cell
+// is pinned to the worker numbered id mod n.
 func WithDeliveryWorkers(n int) Option {
 	return func(b *builder) error {
 		if n <= 0 {
 			return fmt.Errorf("ap1000plus: delivery workers must be positive, got %d", n)
 		}
 		b.cfg.Workers = n
-		return nil
-	}
-}
-
-// WithMutexLinks swaps the ring wire's lock-free inter-shard links
-// for the mutex-guarded reference implementation — the knob the
-// differential gate turns to compare the two under identical
-// workloads. Delivery semantics are identical. Conflicts with
-// WithMutexWire.
-func WithMutexLinks() Option {
-	return func(b *builder) error {
-		b.cfg.MutexLinks = true
 		return nil
 	}
 }

@@ -38,10 +38,7 @@ func TestNewValidation(t *testing.T) {
 		{"nil timeline", []Option{WithGrid(2, 2), WithTimeline(nil)}, "WithTimeline(nil)"},
 		{"nil fault plan", []Option{WithGrid(2, 2), WithFault(nil)}, "WithFault(nil)"},
 		{"zero workers", []Option{WithGrid(2, 2), WithDeliveryWorkers(0)}, "delivery workers"},
-		{"workers on mutex wire", []Option{WithGrid(2, 2), WithMutexWire(), WithDeliveryWorkers(2)}, "conflicts with the mutex wire"},
-		{"mutex links on mutex wire", []Option{WithGrid(2, 2), WithMutexWire(), WithMutexLinks()}, "conflicts with the mutex wire"},
-		{"ring knobs ok", []Option{WithGrid(2, 2), WithDeliveryWorkers(2), WithMutexLinks()}, ""},
-		{"mutex wire ok", []Option{WithGrid(4, 4), WithMutexWire()}, ""},
+		{"ring knobs ok", []Option{WithGrid(2, 2), WithDeliveryWorkers(2)}, ""},
 		{"fault + sanitize + combining ok", []Option{WithGrid(2, 2), WithFault(plan), WithSanitize(), WithCombining()}, ""},
 	}
 	for _, tc := range cases {

@@ -2,7 +2,6 @@ package ap1000plus
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 )
 
@@ -20,10 +19,7 @@ type wireDiffResult struct {
 // flag counts.
 func wireDiffRun(t *testing.T, opts ...Option) wireDiffResult {
 	t.Helper()
-	const (
-		chunk  = 64
-		rounds = 12
-	)
+	const chunk, rounds = wireDiffChunk, wireDiffRounds
 	opts = append([]Option{WithGrid(4, 4), WithObserve(), WithMemoryPerCell(1 << 20)}, opts...)
 	m, err := New(opts...)
 	if err != nil {
@@ -53,11 +49,10 @@ func wireDiffRun(t *testing.T, opts ...Option) wireDiffResult {
 		for r := 0; r < rounds; r++ {
 			// Deterministic fill of this cell's outgoing chunk.
 			for i := range srcs[id] {
-				srcs[id][i] = byte(id*31 + r*17 + i)
+				srcs[id][i] = wireDiffByte(id, r, i)
 			}
 			c.HWBarrier() // all chunks for round r in place
-			stride := 1 + (r*5+3)%(np-1)
-			peer := (id + stride) % np
+			peer := wireDiffPeer(id, r, np)
 			var err error
 			if r%2 == 0 {
 				// PUT my chunk into the peer's slot for me.
@@ -96,63 +91,91 @@ func wireDiffRun(t *testing.T, opts ...Option) wireDiffResult {
 	return res
 }
 
-// requireSameResult asserts bit-identical memory and flag counts.
-func requireSameResult(t *testing.T, name string, want, got wireDiffResult) {
-	t.Helper()
-	for id := range want.mem {
-		if !bytes.Equal(want.mem[id], got.mem[id]) {
-			t.Fatalf("%s: cell %d memory differs from reference", name, id)
-		}
-		if want.flags[id] != got.flags[id] {
-			t.Fatalf("%s: cell %d flag increments = %d, reference %d",
-				name, id, got.flags[id], want.flags[id])
+const (
+	wireDiffChunk  = 64
+	wireDiffRounds = 12
+)
+
+// wireDiffByte is byte i of the chunk cell id sends in round r.
+func wireDiffByte(id, r, i int) byte { return byte(id*31 + r*17 + i) }
+
+// wireDiffPeer is the cell that id PUTs to (even rounds) or GETs from
+// (odd rounds) in round r.
+func wireDiffPeer(id, r, np int) int { return (id + 1 + (r*5+3)%(np-1)) % np }
+
+// wireDiffOracle computes the workload's final receive buffers from
+// its definition alone, with no machine: slot s of cell c holds cell
+// s's chunk of the last round in which s PUT to c (even rounds) or c
+// GOT from s (odd rounds), and zeros if there was none. Rounds are
+// barrier-separated, so "last" is well defined on any correct wire.
+func wireDiffOracle(np int) [][]byte {
+	mem := make([][]byte, np)
+	for c := range mem {
+		mem[c] = make([]byte, np*wireDiffChunk)
+	}
+	for r := 0; r < wireDiffRounds; r++ {
+		for id := 0; id < np; id++ {
+			peer := wireDiffPeer(id, r, np)
+			owner, slot := peer, id // PUT: my chunk into the peer's slot for me
+			if r%2 == 1 {
+				owner, slot = id, peer // GET: the peer's chunk into its slot here
+			}
+			for i := 0; i < wireDiffChunk; i++ {
+				mem[owner][slot*wireDiffChunk+i] = wireDiffByte(slot, r, i)
+			}
 		}
 	}
+	return mem
 }
 
-// TestWireDifferential is the wire-equivalence gate: the same seeded
-// workload must produce bit-identical memory and flag counts on the
-// lock-free ring wire (both link implementations, multiple forced
-// delivery shards), the legacy mutex wire, and — under seeded fault
-// plans, where the ring build falls back to synchronous transport but
-// keeps its MSC rings and delivery workers — on both builds again.
-// Run under -race in make verify.
+// TestWireDifferential is the wire-correctness gate: a seeded workload
+// of barrier-separated permutation PUTs and GETs must leave exactly
+// the memory its closed form predicts — an oracle that shares no code
+// with receive/deliver — and the same flag counts, on every delivery
+// shape: one worker (everything inline), several (links), one per
+// cell, combining's inline transport, and under seeded fault plans
+// (inline transport with retransmission and dedup). Run under -race in
+// make verify.
 func TestWireDifferential(t *testing.T) {
-	ref := wireDiffRun(t) // ring wire, ring links, default workers
-
-	variants := []struct {
+	var want wireDiffResult
+	check := func(t *testing.T, opts ...Option) {
+		t.Helper()
+		got := wireDiffRun(t, opts...)
+		if want.mem == nil {
+			want = wireDiffResult{mem: wireDiffOracle(len(got.mem)), flags: got.flags}
+		}
+		for id := range want.mem {
+			if !bytes.Equal(want.mem[id], got.mem[id]) {
+				t.Fatalf("cell %d memory differs from the closed form", id)
+			}
+			if want.flags[id] != got.flags[id] {
+				t.Fatalf("cell %d flag increments = %d, first variant had %d", id, got.flags[id], want.flags[id])
+			}
+		}
+	}
+	for _, v := range []struct {
 		name string
 		opts []Option
 	}{
+		{"ring wire, 1 worker", []Option{WithDeliveryWorkers(1)}},
 		{"ring wire, 4 workers", []Option{WithDeliveryWorkers(4)}},
-		{"ring wire, mutex links, 4 workers", []Option{WithMutexLinks(), WithDeliveryWorkers(4)}},
 		{"ring wire, one worker per cell", []Option{WithDeliveryWorkers(16)}},
-		{"mutex wire", []Option{WithMutexWire()}},
+		{"combining", []Option{WithCombining()}},
+	} {
+		t.Run(v.name, func(t *testing.T) { check(t, v.opts...) })
 	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			requireSameResult(t, v.name, ref, wireDiffRun(t, v.opts...))
-		})
-	}
-
 	for _, spec := range []string{
 		"drop=0.06,dup=0.04,seed=17",
 		"drop=0.05,reorder=0.05,seed=23",
 	} {
 		t.Run("fault "+spec, func(t *testing.T) {
-			plan, err := ParseFaultPlan(spec)
-			if err != nil {
-				t.Fatal(err)
+			for _, workers := range []int{4, 16} {
+				plan, err := ParseFaultPlan(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, WithFault(plan), WithDeliveryWorkers(workers))
 			}
-			ringRes := wireDiffRun(t, WithFault(plan), WithDeliveryWorkers(4))
-			plan2, err := ParseFaultPlan(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mtxRes := wireDiffRun(t, WithFault(plan2), WithMutexWire())
-			name := fmt.Sprintf("fault %s ring-vs-reference", spec)
-			requireSameResult(t, name, ref, ringRes)
-			requireSameResult(t, "fault "+spec+" mutex-vs-ring", ringRes, mtxRes)
 		})
 	}
 }
