@@ -41,6 +41,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) vet -C bench . && $(GO) test -C bench .
 	$(GO) run ./cmd/apvet -json ./... > apvet.json
+	diff -u apvet.baseline.json apvet.json
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestConcurrentFIFOProperty|TestOverflowConcurrentFIFO' ./internal/ring/
 	$(GO) test -race -run TestWireDifferential .
@@ -86,12 +87,12 @@ chaos:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 	$(GO) run ./cmd/apbench -experiment table2 -metrics-json BENCH_obs.json > /dev/null
-	$(GO) run ./cmd/apbench -experiment batch -batch-json BENCH_batch.json > /dev/null
-	$(GO) run ./cmd/apbench -experiment dsmcache -dsmcache-json BENCH_dsmcache.json > /dev/null
-	$(GO) run ./cmd/apbench -experiment atomics -atomics-json BENCH_atomics.json > /dev/null
-	$(GO) run ./cmd/apbench -experiment pgas -pgas-json BENCH_pgas.json > /dev/null
-	$(GO) run ./cmd/apbench -experiment scale -scale-json BENCH_scale.json > /dev/null
-	$(GO) run ./cmd/apbench -experiment tenancy -tenancy-json BENCH_tenancy.json > /dev/null
+	$(GO) run ./cmd/apbench -experiment batch -json BENCH_batch.json > /dev/null
+	$(GO) run ./cmd/apbench -experiment dsmcache -json BENCH_dsmcache.json > /dev/null
+	$(GO) run ./cmd/apbench -experiment atomics -json BENCH_atomics.json > /dev/null
+	$(GO) run ./cmd/apbench -experiment pgas -json BENCH_pgas.json > /dev/null
+	$(GO) run ./cmd/apbench -experiment scale -json BENCH_scale.json > /dev/null
+	$(GO) run ./cmd/apbench -experiment tenancy -json BENCH_tenancy.json > /dev/null
 
 # Short fuzz pass over the trace codec (corpus seeds under
 # internal/trace/testdata/fuzz are always exercised by plain go test).

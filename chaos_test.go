@@ -19,12 +19,17 @@ import (
 // comparison) and the machine counter snapshot.
 type chaosKernel struct {
 	name string
-	run  func(t *testing.T, plan *FaultPlan) ([]float64, Metrics)
+	run  func(t *testing.T, plan *FaultPlan, workers int) ([]float64, Metrics)
 }
 
-func chaosMachine(t *testing.T, plan *FaultPlan) *Machine {
+// chaosWorkers are the delivery-worker counts the fault gates sweep,
+// so they do not depend on the host's core count: 1 delivers every
+// packet inline, 4 puts every packet of the 2x2 machine on a link.
+var chaosWorkers = []int{1, 4}
+
+func chaosMachine(t *testing.T, plan *FaultPlan, workers int) *Machine {
 	t.Helper()
-	opts := []Option{WithGrid(2, 2), WithObserve()}
+	opts := []Option{WithGrid(2, 2), WithObserve(), WithDeliveryWorkers(workers)}
 	if plan != nil {
 		opts = append(opts, WithFault(plan))
 	}
@@ -38,9 +43,9 @@ func chaosMachine(t *testing.T, plan *FaultPlan) *Machine {
 // chaosMatMul is the ring matmul of examples/matmul at a test size,
 // rotating the blocks with one PUT per row (rather than one bulk PUT)
 // so the wire sees enough packets for every plan's faults to fire.
-func chaosMatMul(t *testing.T, plan *FaultPlan) ([]float64, Metrics) {
+func chaosMatMul(t *testing.T, plan *FaultPlan, workers int) ([]float64, Metrics) {
 	t.Helper()
-	m := chaosMachine(t, plan)
+	m := chaosMachine(t, plan, workers)
 	const n = 32
 	np := m.Cells()
 	block := n / np
@@ -128,9 +133,9 @@ func chaosMatMul(t *testing.T, plan *FaultPlan) ([]float64, Metrics) {
 
 // chaosStencil is the OVERLAP FIX Jacobi solve of examples/stencil at
 // a test size: stride PUTs refresh shadow columns every iteration.
-func chaosStencil(t *testing.T, plan *FaultPlan) ([]float64, Metrics) {
+func chaosStencil(t *testing.T, plan *FaultPlan, workers int) ([]float64, Metrics) {
 	t.Helper()
-	m := chaosMachine(t, plan)
+	m := chaosMachine(t, plan, workers)
 	const (
 		n     = 16
 		iters = 6
@@ -210,9 +215,9 @@ func chaosStencil(t *testing.T, plan *FaultPlan) ([]float64, Metrics) {
 
 // chaosRedistribute is the block <-> cyclic round trip of
 // examples/redistribute at a test size: comb-stride PUTs both ways.
-func chaosRedistribute(t *testing.T, plan *FaultPlan) ([]float64, Metrics) {
+func chaosRedistribute(t *testing.T, plan *FaultPlan, workers int) ([]float64, Metrics) {
 	t.Helper()
-	m := chaosMachine(t, plan)
+	m := chaosMachine(t, plan, workers)
 	const n = 64
 	blk, err := NewArray1D(m, "blk", n, 0)
 	if err != nil {
@@ -298,7 +303,7 @@ func TestChaosKernels(t *testing.T) {
 	}
 	for _, k := range kernels {
 		t.Run(k.name, func(t *testing.T) {
-			base, baseM := k.run(t, nil)
+			base, baseM := k.run(t, nil, 4)
 			if baseM.Fault != nil {
 				t.Fatal("fault metrics reported on a fault-free machine")
 			}
@@ -309,42 +314,44 @@ func TestChaosKernels(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, mt := k.run(t, plan)
-					if len(got) != len(base) {
-						t.Fatalf("result length %d, want %d", len(got), len(base))
-					}
-					for i := range got {
-						if math.Float64bits(got[i]) != math.Float64bits(base[i]) {
-							t.Fatalf("result[%d] = %v, fault-free run produced %v", i, got[i], base[i])
+					for _, workers := range chaosWorkers {
+						got, mt := k.run(t, plan, workers)
+						if len(got) != len(base) {
+							t.Fatalf("result length %d, want %d", len(got), len(base))
 						}
-					}
-					gotFlags := flagCounts(mt)
-					for i := range gotFlags {
-						if gotFlags[i] != baseFlags[i] {
-							t.Fatalf("cell %d flag increments = %d, fault-free run produced %d (exactly-once violated)",
-								i, gotFlags[i], baseFlags[i])
+						for i := range got {
+							if math.Float64bits(got[i]) != math.Float64bits(base[i]) {
+								t.Fatalf("result[%d] = %v, fault-free run produced %v", i, got[i], base[i])
+							}
 						}
-					}
-					f := mt.Fault
-					if f == nil {
-						t.Fatal("Metrics().Fault nil on a machine with a fault plan")
-					}
-					if f.CellFaults != 0 {
-						t.Fatalf("retry budget exhausted %d times under a recoverable plan", f.CellFaults)
-					}
-					if p.drops && (f.Drops == 0 || f.Retransmits == 0) {
-						t.Errorf("drop plan: drops=%d retransmits=%d, want both > 0", f.Drops, f.Retransmits)
-					}
-					if p.dups && (f.Dups == 0 || f.Dedups == 0) {
-						t.Errorf("dup plan: dups=%d dedups=%d, want both > 0", f.Dups, f.Dedups)
-					}
-					if p.reorders && (f.Reorders == 0 || f.Retransmits == 0 || f.Dedups == 0) {
-						t.Errorf("reorder plan: reorders=%d retransmits=%d dedups=%d, want all > 0",
-							f.Reorders, f.Retransmits, f.Dedups)
-					}
-					if p.corrupts && (f.Corrupts == 0 || f.CorruptDetected == 0 || f.Retransmits == 0) {
-						t.Errorf("corrupt plan: corrupts=%d detected=%d retransmits=%d, want all > 0",
-							f.Corrupts, f.CorruptDetected, f.Retransmits)
+						gotFlags := flagCounts(mt)
+						for i := range gotFlags {
+							if gotFlags[i] != baseFlags[i] {
+								t.Fatalf("cell %d flag increments = %d, fault-free run produced %d (exactly-once violated)",
+									i, gotFlags[i], baseFlags[i])
+							}
+						}
+						f := mt.Fault
+						if f == nil {
+							t.Fatal("Metrics().Fault nil on a machine with a fault plan")
+						}
+						if f.CellFaults != 0 {
+							t.Fatalf("retry budget exhausted %d times under a recoverable plan", f.CellFaults)
+						}
+						if p.drops && (f.Drops == 0 || f.Retransmits == 0) {
+							t.Errorf("drop plan: drops=%d retransmits=%d, want both > 0", f.Drops, f.Retransmits)
+						}
+						if p.dups && (f.Dups == 0 || f.Dedups == 0) {
+							t.Errorf("dup plan: dups=%d dedups=%d, want both > 0", f.Dups, f.Dedups)
+						}
+						if p.reorders && (f.Reorders == 0 || f.Retransmits == 0 || f.Dedups == 0) {
+							t.Errorf("reorder plan: reorders=%d retransmits=%d dedups=%d, want all > 0",
+								f.Reorders, f.Retransmits, f.Dedups)
+						}
+						if p.corrupts && (f.Corrupts == 0 || f.CorruptDetected == 0 || f.Retransmits == 0) {
+							t.Errorf("corrupt plan: corrupts=%d detected=%d retransmits=%d, want all > 0",
+								f.Corrupts, f.CorruptDetected, f.Retransmits)
+						}
 					}
 				})
 			}

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"ap1000plus/internal/core"
 	"ap1000plus/internal/machine"
@@ -71,23 +69,7 @@ func runBatch(w io.Writer, quick bool, jsonPath string) error {
 	}
 	fmt.Fprintln(w)
 
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote batch report %s (%d rows)\n", jsonPath, len(rows))
-	}
-	return nil
+	return writeJSON(jsonPath, "batch report", rows)
 }
 
 // batchMachine builds the common 4x4 observed machine.

@@ -14,31 +14,24 @@
 // -metrics prints each application's machine counter report; -metrics-json
 // writes them as JSON (for make bench / BENCH_obs.json). -timeline
 // writes a merged Chrome trace-event file loadable at ui.perfetto.dev.
-// -experiment batch compares single vs batched command issue on the
-// stencil, redistribute and matmul workloads; -batch-json writes that
-// report (for make bench / BENCH_batch.json). -experiment dsmcache
-// compares the coherent DSM page cache against plain blocking remote
-// loads on the gather kernel; -dsmcache-json writes that report (for
-// make bench / BENCH_dsmcache.json). -experiment atomics hammers a
-// hot remote fetch-and-add counter with T-net combining off and on;
-// -atomics-json writes that report (for make bench /
-// BENCH_atomics.json). -experiment pgas runs the bale histogram and
-// index-gather kernels on the PGAS layer, naive vs aggregated issue;
-// -pgas-json writes that report (for make bench / BENCH_pgas.json).
-// -experiment scale weak-scales the neighbor-PUT ring from 64 to 4096
-// cells, reporting aggregate messages/sec and ns/hop;
-// -scale-json writes that report (for make bench / BENCH_scale.json).
-// -experiment tenancy splits one machine into partitions, gangs an
-// open-loop Poisson stream of tenant jobs onto them through the gang
-// scheduler, and reports per-tenant p50/p99 sojourn latency and
-// aggregate jobs/sec per partition count; -tenancy-json writes that
-// report (for make bench / BENCH_tenancy.json).
+//
+// Six experiments report rows instead of paper tables, and -json PATH
+// writes the selected one's rows (make bench / BENCH_<experiment>.json):
+// batch (single vs batched command issue on stencil, redistribute and
+// matmul), dsmcache (the coherent DSM page cache vs plain blocking
+// remote loads on the gather kernel), atomics (a hot remote fetch-and-add
+// counter with T-net combining off and on), pgas (the bale histogram
+// and index-gather kernels, naive vs aggregated issue), scale (the
+// neighbor-PUT ring weak-scaled from 64 to 4096 cells) and tenancy (an
+// open-loop Poisson stream of tenant jobs gang-scheduled onto
+// partitions: per-tenant p50/p99 sojourn latency and jobs/sec).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -64,12 +57,7 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print each application's machine counter report")
 	metricsJSON := flag.String("metrics-json", "", "write per-application metrics as JSON to this file")
 	timeline := flag.String("timeline", "", "write a merged Perfetto timeline of the functional runs to this file")
-	batchJSON := flag.String("batch-json", "", "write the batched-issue report as JSON to this file (experiment batch)")
-	dsmCacheJSON := flag.String("dsmcache-json", "", "write the DSM page-cache report as JSON to this file (experiment dsmcache)")
-	atomicsJSON := flag.String("atomics-json", "", "write the remote-atomic combining report as JSON to this file (experiment atomics)")
-	pgasJSON := flag.String("pgas-json", "", "write the PGAS aggregation report as JSON to this file (experiment pgas)")
-	scaleJSON := flag.String("scale-json", "", "write the wire weak-scaling report as JSON to this file (experiment scale)")
-	tenancyJSON := flag.String("tenancy-json", "", "write the multi-tenant gang-scheduling report as JSON to this file (experiment tenancy)")
+	jsonPath := flag.String("json", "", "write the selected experiment's rows as JSON to this file (batch|dsmcache|atomics|pgas|scale|tenancy)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -103,7 +91,7 @@ func main() {
 		}
 	}
 
-	err = run(*experiment, *quick, *size, *distance, *only, *metrics, *metricsJSON, *batchJSON, *dsmCacheJSON, *atomicsJSON, *pgasJSON, *scaleJSON, *tenancyJSON)
+	err = run(*experiment, *quick, *size, *distance, *only, *metrics, *metricsJSON, *jsonPath)
 	if err == nil && *timeline != "" {
 		err = writeTimeline(*timeline, parts)
 	}
@@ -168,24 +156,39 @@ type appMetrics struct {
 	Metrics *machine.Metrics
 }
 
-func run(experiment string, quick bool, size int64, distance int, only string, metrics bool, metricsJSON, batchJSON, dsmCacheJSON, atomicsJSON, pgasJSON, scaleJSON, tenancyJSON string) error {
-	if experiment == "batch" {
-		return runBatch(os.Stdout, quick, batchJSON)
+// writeJSON writes v, indented, to path and says so on stderr; an
+// empty path writes nothing.
+func writeJSON(path, what string, v any) error {
+	if path == "" {
+		return nil
 	}
-	if experiment == "tenancy" {
-		return runTenancy(os.Stdout, quick, tenancyJSON)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if experiment == "scale" {
-		return runScale(os.Stdout, quick, scaleJSON)
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		f.Close()
+		return err
 	}
-	if experiment == "dsmcache" {
-		return runDSMCache(os.Stdout, quick, dsmCacheJSON)
+	if err := f.Close(); err != nil {
+		return err
 	}
-	if experiment == "atomics" {
-		return runAtomics(os.Stdout, quick, atomicsJSON)
+	fmt.Fprintf(os.Stderr, "wrote %s %s\n", what, path)
+	return nil
+}
+
+func run(experiment string, quick bool, size int64, distance int, only string, metrics bool, metricsJSON, jsonPath string) error {
+	rowReports := map[string]func(io.Writer, bool, string) error{
+		"batch": runBatch, "dsmcache": runDSMCache, "atomics": runAtomics,
+		"pgas": runPGAS, "scale": runScale, "tenancy": runTenancy,
 	}
-	if experiment == "pgas" {
-		return runPGAS(os.Stdout, quick, pgasJSON)
+	if report := rowReports[experiment]; report != nil {
+		return report(os.Stdout, quick, jsonPath)
+	}
+	if jsonPath != "" {
+		return fmt.Errorf("-json: experiment %q reports no rows (see -help)", experiment)
 	}
 	needApps := false
 	switch experiment {
@@ -322,20 +325,9 @@ func run(experiment string, quick bool, size int64, distance int, only string, m
 				out = append(out, appMetrics{App: e.App, Metrics: e.Metrics})
 			}
 		}
-		f, err := os.Create(metricsJSON)
-		if err != nil {
+		if err := writeJSON(metricsJSON, "metrics", out); err != nil {
 			return err
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote metrics %s (%d apps)\n", metricsJSON, len(out))
 	}
 	switch experiment {
 	case "specs", "params", "fig7", "table2", "table3", "fig8", "stride", "contention", "all":

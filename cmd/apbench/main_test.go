@@ -10,27 +10,30 @@ import (
 // covered at -quick scale.
 func TestRunCheapExperiments(t *testing.T) {
 	for _, exp := range []string{"specs", "params", "fig7"} {
-		if err := run(exp, true, 256, 2, "", false, "", "", "", "", "", "", ""); err != nil {
+		if err := run(exp, true, 256, 2, "", false, "", ""); err != nil {
 			t.Errorf("run(%s): %v", exp, err)
 		}
 	}
 }
 
 func TestRunQuickTable2SingleApp(t *testing.T) {
-	if err := run("table2", true, 0, 0, "EP", false, "", "", "", "", "", "", ""); err != nil {
+	if err := run("table2", true, 0, 0, "EP", false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunQuickStride(t *testing.T) {
-	if err := run("stride", true, 0, 0, "", false, "", "", "", "", "", "", ""); err != nil {
+	if err := run("stride", true, 0, 0, "", false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("bogus", true, 0, 0, "", false, "", "", "", "", "", "", ""); err == nil {
+	if err := run("bogus", true, 0, 0, "", false, "", ""); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	if err := run("specs", true, 0, 0, "", false, "", t.TempDir()+"/rows.json"); err == nil {
+		t.Fatal("-json accepted for an experiment that reports no rows")
 	}
 }
 
@@ -39,7 +42,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 // messages than the uncached baseline.
 func TestRunQuickDSMCache(t *testing.T) {
 	path := t.TempDir() + "/dsmcache.json"
-	if err := run("dsmcache", true, 0, 0, "", false, "", "", path, "", "", "", ""); err != nil {
+	if err := run("dsmcache", true, 0, 0, "", false, "", path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -72,7 +75,7 @@ func TestRunQuickDSMCache(t *testing.T) {
 // O(log n) reduction the combining tree exists for.
 func TestRunQuickAtomics(t *testing.T) {
 	path := t.TempDir() + "/atomics.json"
-	if err := run("atomics", true, 0, 0, "", false, "", "", "", path, "", "", ""); err != nil {
+	if err := run("atomics", true, 0, 0, "", false, "", path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -110,7 +113,7 @@ func TestRunQuickAtomics(t *testing.T) {
 // exstack exchange exists for.
 func TestRunQuickPGAS(t *testing.T) {
 	path := t.TempDir() + "/pgas.json"
-	if err := run("pgas", true, 0, 0, "", false, "", "", "", "", path, "", ""); err != nil {
+	if err := run("pgas", true, 0, 0, "", false, "", path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -142,7 +145,7 @@ func TestRunQuickPGAS(t *testing.T) {
 // full-size `make bench` run, not at -quick scale.
 func TestRunQuickScale(t *testing.T) {
 	path := t.TempDir() + "/scale.json"
-	if err := run("scale", true, 0, 0, "", false, "", "", "", "", "", path, ""); err != nil {
+	if err := run("scale", true, 0, 0, "", false, "", path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -170,7 +173,7 @@ func TestRunQuickScale(t *testing.T) {
 // including the JSON report.
 func TestRunQuickBatch(t *testing.T) {
 	path := t.TempDir() + "/batch.json"
-	if err := run("batch", true, 0, 0, "", false, "", path, "", "", "", "", ""); err != nil {
+	if err := run("batch", true, 0, 0, "", false, "", path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -236,7 +239,7 @@ func TestFaultPlanFromFlags(t *testing.T) {
 // (p99 >= p50 > 0, positive throughput).
 func TestRunQuickTenancy(t *testing.T) {
 	path := t.TempDir() + "/tenancy.json"
-	if err := run("tenancy", true, 0, 0, "", false, "", "", "", "", "", "", path); err != nil {
+	if err := run("tenancy", true, 0, 0, "", false, "", path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

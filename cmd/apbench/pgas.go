@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -92,21 +91,5 @@ func runPGAS(w io.Writer, quick bool, jsonPath string) error {
 	}
 	fmt.Fprintln(w)
 
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote pgas report %s (%d rows)\n", jsonPath, len(rows))
-	}
-	return nil
+	return writeJSON(jsonPath, "pgas report", rows)
 }

@@ -59,9 +59,9 @@ func propWorkload(rng *rand.Rand, cells int) (ops [][]propOp, putsInto, getsBy [
 // into a per-(src,dst,k) slot of the destination's in buffer; every
 // GET reads out[slot] of the destination into a per-(dst,k) slot of
 // the source's gin buffer — so the expected memory image is exact.
-func propRun(t *testing.T, plan *FaultPlan, ops [][]propOp, putsInto, getsBy []int) *Machine {
+func propRun(t *testing.T, plan *FaultPlan, workers int, ops [][]propOp, putsInto, getsBy []int) *Machine {
 	t.Helper()
-	m, err := New(WithGrid(2, 2), WithObserve(), WithFault(plan))
+	m, err := New(WithGrid(2, 2), WithObserve(), WithFault(plan), WithDeliveryWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +199,13 @@ func TestFaultPropertyRandomWorkloads(t *testing.T) {
 			}
 			ops, putsInto, getsBy := propWorkload(rng, 4)
 
-			m1 := propRun(t, plan, ops, putsInto, getsBy)
-			m2 := propRun(t, plan, ops, putsInto, getsBy)
-			p1, p2 := projectFault(m1.Metrics()), projectFault(m2.Metrics())
-			if !reflect.DeepEqual(p1, p2) {
-				t.Fatalf("identical plan %q gave different projections:\n%+v\n%+v", spec, p1, p2)
+			for _, workers := range chaosWorkers {
+				m1 := propRun(t, plan, workers, ops, putsInto, getsBy)
+				m2 := propRun(t, plan, workers, ops, putsInto, getsBy)
+				p1, p2 := projectFault(m1.Metrics()), projectFault(m2.Metrics())
+				if !reflect.DeepEqual(p1, p2) {
+					t.Fatalf("identical plan %q on %d workers gave different projections:\n%+v\n%+v", spec, workers, p1, p2)
+				}
 			}
 		})
 	}

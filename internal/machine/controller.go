@@ -208,7 +208,8 @@ func (m *Machine) loadReply(c *Cell, cmd msc.Command, exec int) {
 // monitor-protected or owned by flag discipline, like real DMA.
 // Sanitizer-wise the packet's SanTid carries that controller's
 // logical thread through the delivery. It reports whether the packet
-// was accepted; under a fault plan, false makes the sender retransmit.
+// was accepted; under a fault plan, false makes an inline sender
+// retransmit (a sender behind a link has the injector's fate instead).
 func (c *Cell) receive(p tnet.Packet) bool {
 	m := c.machine
 	if r := m.rel; r != nil {

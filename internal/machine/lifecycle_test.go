@@ -307,8 +307,8 @@ func TestPartitionConfigValidation(t *testing.T) {
 	if _, err := New(Config{Width: 2, Height: 2, MemoryPerCell: 1 << 20, Partitions: 2, Sanitize: true}); err == nil {
 		t.Error("sanitize with multiple partitions must fail")
 	}
-	if _, err := New(Config{Width: 4, Height: 4, MemoryPerCell: 1 << 20, Partitions: 2, Combining: true}); err == nil {
-		t.Error("combining with multiple partitions must fail")
+	if _, err := New(Config{Width: 4, Height: 4, MemoryPerCell: 1 << 20, Partitions: 2, Combining: true}); err != nil {
+		t.Errorf("combining with multiple partitions: %v", err)
 	}
 	m, err := New(Config{Width: 4, Height: 2, MemoryPerCell: 1 << 20, Partitions: 4})
 	if err != nil {

@@ -87,8 +87,9 @@ type Config struct {
 	// and arms the MSC+'s reliable-delivery path: sequence numbers,
 	// end-to-end checksums, retransmit with exponential backoff and a
 	// bounded retry budget, receive-side dedup. Implies Observe (the
-	// fault counters ride the obs layer). Nil costs one pointer check
-	// per send — the wire is trusted, exactly the pre-fault machine.
+	// fault counters ride the obs layer); the wire is the same link
+	// matrix every other machine uses. Nil costs one pointer check per
+	// send — the wire is trusted, exactly the pre-fault machine.
 	Fault *fault.Plan
 	// Combining arms the T-net's in-network combining of same-address
 	// combinable remote atomics (fetch-add, add, min, max): requests
@@ -137,9 +138,6 @@ func (c *Config) fill() error {
 	}
 	if c.Partitions > 1 && c.Sanitize {
 		return fmt.Errorf("machine: Sanitize requires a single partition (apsan models the all-cells barrier)")
-	}
-	if c.Partitions > 1 && c.Combining {
-		return fmt.Errorf("machine: Combining requires a single partition (the combining tree spans the machine)")
 	}
 	return nil
 }
@@ -239,13 +237,12 @@ func New(cfg Config) (*Machine, error) {
 		m.tnet.Attach(c.id, c.receive)
 		m.bnet.Attach(c.id, c.receiveBroadcast)
 	}
-	if cfg.Fault == nil && !cfg.Sanitize && !cfg.Combining {
+	if !cfg.Sanitize && !cfg.Combining {
 		// The one fork: cross-shard packets ride links unless a feature
-		// needs inline delivery. The fault plan's reliable layer reads
-		// Send's per-attempt verdict, the sanitizer's logical clocks
-		// assume one cell's packets deliver serially, and combining
-		// runs one worker per cell, for which a shard-pair link matrix
-		// would be cells² rings.
+		// needs inline delivery. The sanitizer's logical clocks assume
+		// one cell's packets deliver serially, and combining runs one
+		// worker per cell, for which a shard-pair link matrix would be
+		// cells² rings.
 		m.tnet.SetRingWire(m.pool.shards(), ringLinkCap, m.pool.wake, false, m.trackWire)
 	}
 	return m, nil

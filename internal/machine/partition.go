@@ -82,12 +82,6 @@ func (p *Partition) Group() *topology.Group { return p.group }
 // Jobs reports how many jobs have completed on the partition.
 func (p *Partition) Jobs() int64 { return p.jobs.Load() }
 
-// ownsStream reports whether a wire stream originates inside the
-// partition — the drain flushes only its own held packets.
-func (p *Partition) ownsStream(src, dst topology.CellID) bool {
-	return int(src) >= p.base && int(src) < p.base+p.n
-}
-
 // buildPartitions carves the torus into k contiguous partitions and
 // the partition-scoped S-net domains. Runs before cells are built so
 // newCell can bind each cell to its partition.
@@ -238,17 +232,10 @@ func (m *Machine) RunJob(part int, program func(c *Cell) error) error {
 	cpuWG.Wait()
 
 	// Drain: park on the partition's doorbell until all of its queued
-	// and chained commands and its packets on links completed. Under a
-	// fault plan, reordered packets held in limbo on the partition's
-	// own streams are flushed once it is quiescent; a flush can queue
-	// new commands (a late GET request), so drain again until nothing
-	// is held.
-	for {
-		p.q.wait()
-		if m.rel == nil || m.tnet.FlushHeldWhere(p.ownsStream) == 0 {
-			break
-		}
-	}
+	// and chained commands and its packets on links completed. Nothing
+	// is left in the wire's reorder limbo: it never outlives the xmit
+	// that filled it.
+	p.q.wait()
 	if m.rel != nil {
 		// Quiescent: collapse the dedup holes left by abandoned
 		// (retry-budget-exhausted) packets on the partition's links so

@@ -78,16 +78,16 @@ type relLink struct {
 	// was exhausted. An abandoned seq may never arrive, which would
 	// leave a permanent hole under the receive watermark and let seen
 	// grow without bound; the machine's drain reconciles these holes
-	// (see relay.reconcile). Entries are dropped when the packet lands
-	// late after all (a limbo copy flushed at drain).
+	// (see relay.reconcileRange).
 	abandoned map[uint64]bool
 	// results is the atomic result-replay cache: fetch results of
 	// executed OpAtomic requests keyed by seq, bounded to the last
 	// atomicReplayWindow entries FIFO. A duplicated fetch-add must
 	// return the cached old value instead of re-executing — unlike the
-	// idempotent flag increments, a replayed RMW is observable.
+	// idempotent flag increments, a replayed RMW is observable. Both
+	// halves wait for the first cacheResult: few of cells² links carry one.
 	results    map[uint64]int64
-	resultFifo [atomicReplayWindow]uint64
+	resultFifo *[atomicReplayWindow]uint64
 	resultPos  int
 }
 
@@ -96,7 +96,6 @@ func (l *relLink) see(seq uint64) (dup bool) {
 	if seq <= l.contig || l.seen[seq] {
 		return true
 	}
-	delete(l.abandoned, seq) // landed after all (late limbo delivery)
 	if seq == l.contig+1 {
 		l.contig++
 		for l.seen[l.contig+1] {
@@ -117,6 +116,7 @@ func (l *relLink) see(seq uint64) (dup bool) {
 func (l *relLink) cacheResult(seq uint64, val int64) {
 	if l.results == nil {
 		l.results = make(map[uint64]int64, atomicReplayWindow)
+		l.resultFifo = new([atomicReplayWindow]uint64)
 	}
 	if old := l.resultFifo[l.resultPos]; old != 0 {
 		delete(l.results, old)
@@ -158,32 +158,24 @@ func (r *relay) noteResult(src, dst topology.CellID, seq uint64, val int64) {
 	link.mu.Unlock()
 }
 
-// reconcile runs once the machine is quiescent (inflight drained,
-// limbo flushed): every abandoned seq that still never arrived is
-// marked received so the holes it left collapse and the dedup windows
-// drain to empty. Without this, a retry-budget exhaustion under a
-// sustained reorder plan grows seen without bound for the rest of the
-// run.
-func (r *relay) reconcile() { r.reconcileRange(0, r.cells) }
-
-// reconcileRange is reconcile scoped to links whose source cell lies
-// in [lo, hi) — one partition's drain, which must not touch a
-// neighbor partition's links while that neighbor is mid-job. Links to
-// destinations outside the range are scanned too, but under partition
-// isolation they never carried traffic and are empty.
+// reconcileRange runs once a partition is quiescent: every abandoned
+// seq — none can still arrive, its held copies were discarded with it —
+// is marked received so the holes it left collapse and the dedup
+// windows drain to empty. Without this, a retry-budget exhaustion
+// under a sustained reorder plan grows seen without bound for the rest
+// of the run. It is scoped to links whose source cell lies in [lo, hi)
+// — one partition's drain, which must not touch a neighbor partition's
+// links while that neighbor is mid-job. Links to destinations outside
+// the range are scanned too, but under partition isolation they never
+// carried traffic and are empty.
 func (r *relay) reconcileRange(lo, hi int) {
 	for src := lo; src < hi; src++ {
 		for dst := 0; dst < r.cells; dst++ {
 			l := &r.links[src*r.cells+dst]
 			l.mu.Lock()
-			for len(l.abandoned) > 0 {
-				// Marking one abandoned seq may collapse others; loop until
-				// the set is empty (see deletes entries as they land).
-				for seq := range l.abandoned {
-					delete(l.abandoned, seq)
-					l.see(seq)
-					break
-				}
+			for seq := range l.abandoned {
+				delete(l.abandoned, seq)
+				l.see(seq)
 			}
 			l.mu.Unlock()
 		}
@@ -228,9 +220,10 @@ func b2u64(b bool) uint64 {
 
 // xmit routes a packet out of cell c. Without a fault plan it is a
 // plain tnet.Send; with one, the relay stamps the reliable-delivery
-// header and retries rejected deliveries up to the budget, charging
-// simulated backoff to c's counters. It reports whether the packet was
-// eventually accepted.
+// header and retries up to the budget while Send reports the attempt
+// lost (the injector's fate, or an inline receiver's rejection),
+// charging simulated backoff to c's counters. It reports whether an
+// attempt got through; an abandoned packet's held copies are dropped.
 func (m *Machine) xmit(c *Cell, p tnet.Packet) bool {
 	r := m.rel
 	if r == nil {
@@ -284,6 +277,7 @@ func (m *Machine) xmit(c *Cell, p tnet.Packet) bool {
 		}
 	}
 	cf := &CellFault{Cell: c.id, Dst: p.Head.Dst, Op: p.Head.Op, Seq: p.Head.Seq, Attempts: max}
+	m.tnet.DropHeld(p)
 	r.abandon(p.Head.Src, p.Head.Dst, p.Head.Seq)
 	r.record(cf)
 	c.OS.interrupt(IntrCellFault)

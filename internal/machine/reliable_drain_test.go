@@ -2,7 +2,9 @@ package machine
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"ap1000plus/internal/fault"
 	"ap1000plus/internal/mem"
@@ -185,4 +187,26 @@ func TestReplayCacheBounded(t *testing.T) {
 		t.Fatal("replay cache cached nothing")
 	}
 	assertLinksDrained(t, m)
+}
+
+// TestFaultPlanConstructionCost: the relay holds cells² links, so a
+// link must stay a handful of words — the atomic replay ring is
+// allocated on first use — or a plan alone costs 1.2 GiB at 1024
+// cells. What is left there (~170 MiB over the planless machine) is
+// 64 B per link plus the injector's 8 B per (link, class) stream
+// counters.
+func TestFaultPlanConstructionCost(t *testing.T) {
+	if got := unsafe.Sizeof(relLink{}); got > 64 {
+		t.Errorf("relLink is %d bytes, want <= 64", got)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := New(Config{Width: 32, Height: 32, MemoryPerCell: 1 << 16, Fault: mustPlan(t, "seed=1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) >> 20; got >= 256 {
+		t.Errorf("New of %d cells with a plan allocated %d MiB, want < 256", m.Cells(), got)
+	}
 }

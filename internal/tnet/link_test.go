@@ -2,8 +2,10 @@ package tnet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"ap1000plus/internal/fault"
 	"ap1000plus/internal/msc"
 	"ap1000plus/internal/topology"
 )
@@ -115,5 +117,81 @@ func TestRingWireOrderAndDrain(t *testing.T) {
 	}
 	if tracked != 100 || drained != 100 {
 		t.Errorf("tracked %d and drained %d cross-shard packets, want 100 each", tracked, drained)
+	}
+}
+
+// TestFaultFatesRideTheLink pins the wire under an injector: every
+// surviving copy of a cross-shard packet — intact, duplicated, damaged
+// or released from limbo — goes onto the stream's link in FIFO order
+// and no handler runs before the consuming shard drains; Send reports
+// the fate; abandoning a packet empties its stream's limbo.
+func TestFaultFatesRideTheLink(t *testing.T) {
+	tor := topology.MustTorus(2, 2)
+	n := New(tor)
+	plan := &fault.Plan{}
+	for i, k := range []fault.Kind{fault.KindDup, fault.KindCorrupt, fault.KindReorder, fault.KindNone, fault.KindReorder} {
+		plan.Injections = append(plan.Injections, fault.Injection{Src: 0, Dst: 1, Class: "put", Index: uint64(i), Kind: k})
+	}
+	inj, err := plan.Build(tor.Cells(), msc.OpNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sum = 0xfeed
+	var recvd, rejected []int64
+	for id := 0; id < tor.Cells(); id++ {
+		n.Attach(topology.CellID(id), func(p Packet) bool {
+			if p.Head.Sum != sum {
+				rejected = append(rejected, p.Head.Tag)
+				return false
+			}
+			recvd = append(recvd, p.Head.Tag)
+			return true
+		})
+	}
+	n.SetFault(inj)
+	var pending int64
+	n.SetRingWire(2, 4, func(int) {}, false, func(_ topology.CellID, delta int64) { pending += delta })
+
+	put := func(tag int64) Packet {
+		return Packet{Head: msc.Command{Op: msc.OpPut, Src: 0, Dst: 1, Tag: tag, Sum: sum}}
+	}
+	for tag, want := range []struct {
+		ok      bool
+		pending int64
+	}{
+		{true, 2},  // dup: two copies on the link
+		{false, 3}, // corrupt: the damaged copy travels, the sender times out
+		{false, 3}, // reorder: held
+		{true, 5},  // intact, then the held copy behind it
+	} {
+		if ok := n.Send(put(int64(tag))); ok != want.ok || pending != want.pending {
+			t.Fatalf("send %d: ok=%v with %d pending, want %v with %d", tag, ok, pending, want.ok, want.pending)
+		}
+	}
+	if len(recvd)+len(rejected) != 0 {
+		t.Fatalf("handler ran before DrainInbox: accepted %v, rejected %v", recvd, rejected)
+	}
+	if got := n.DrainInbox(1, 0); got != 5 || pending != 0 {
+		t.Fatalf("drained %d with %d still pending, want 5 and 0", got, pending)
+	}
+	if want := []int64{0, 0, 3, 2}; !slices.Equal(recvd, want) {
+		t.Errorf("accepted order %v, want %v", recvd, want)
+	}
+	if want := []int64{1}; !slices.Equal(rejected, want) {
+		t.Errorf("checksum rejected %v, want %v", rejected, want)
+	}
+
+	// A packet whose every attempt was held: abandoning it discards the
+	// copies, so the next packet of the stream travels alone.
+	p := put(4)
+	if n.Send(p) || len(n.limbo) != 1 {
+		t.Fatalf("reordered attempt: want false and one held stream, limbo %v", n.limbo)
+	}
+	n.DropHeld(p)
+	if len(n.limbo) != 0 {
+		t.Fatalf("limbo after abandon: %v", n.limbo)
+	}
+	if !n.Send(put(5)) || pending != 1 {
+		t.Fatalf("after abandon: %d pending, want the one intact packet", pending)
 	}
 }

@@ -9,9 +9,7 @@
 //
 //   - Inline: the destination's receive controller runs on the
 //     calling goroutine before Send returns, so two messages from A to
-//     B can never overtake each other. Send's result is the handler's
-//     verdict, which is what the reliable layer retransmits on, so a
-//     network with a fault injector always delivers inline.
+//     B can never overtake each other.
 //
 //   - Over a link (SetRingWire): cells are partitioned over a small
 //     number of delivery shards, and each ordered pair of shards gets
@@ -20,6 +18,11 @@
 //     and is delivered by B's owning shard; the link preserves FIFO,
 //     so the A→B stream stays in order. Same-shard traffic is
 //     delivered inline.
+//
+// A fault injector (SetFault) sits in front of both routes: it decides
+// each transmission attempt's fate at the sender, puts the surviving
+// copies on the packet's normal route, and Send reports the fate — the
+// acknowledgement the reliable layer retransmits on.
 //
 // Link bandwidth (25 MB/s x 4 links per cell) and hop latency matter
 // only to the timing model (MLSim); here the network accounts traffic
@@ -54,8 +57,8 @@ type Packet struct {
 	// FreeOnDeliver transfers payload ownership to the wire, which
 	// releases the payload to its pool after the destination's handler
 	// returns — on whichever goroutine that is. Never set under a
-	// fault plan: retransmission and the reorder limbo need the
-	// payload alive.
+	// fault plan: retransmission, duplicates on a link and the reorder
+	// limbo need the payload alive.
 	FreeOnDeliver bool
 	// Inline delivers on the calling goroutine even where a link
 	// exists, for control packets that must have been applied when
@@ -68,9 +71,9 @@ type Packet struct {
 
 // Handler consumes a packet at its destination cell — the receive
 // controller of the destination's MSC+. It reports whether the packet
-// was accepted (checksum verified, fresh or duplicate, DMA succeeded);
-// the reliable layer retransmits on false. Without a fault plan the
-// return value is unused.
+// was accepted (checksum verified, fresh or duplicate, DMA succeeded).
+// Only an inline delivery's verdict reaches Send's caller; a packet
+// that crossed a link is judged after Send has returned.
 type Handler func(Packet) bool
 
 // Stats aggregates network traffic.
@@ -106,12 +109,12 @@ type Network struct {
 	// attempt (fault layer). limbo holds reordered packets per
 	// (src, dst, class) stream; a held packet is released — late, hence
 	// the reorder — right after the next delivered packet of its own
-	// stream, which keeps every release on the stream's single sending
-	// goroutine (or in FlushHeld's quiescent drain).
+	// stream, or discarded by DropHeld when the sender gives the packet
+	// up, which keeps every release on the stream's sending goroutine.
 	inj   *fault.Injector
 	limbo map[streamKey][]Packet
 	// ring, when non-nil, carries cross-shard packets over per-shard-
-	// pair links (SetRingWire). Mutually exclusive with inj.
+	// pair links (SetRingWire).
 	ring *ringWire
 	// partOf, when non-nil, maps each cell to its machine partition;
 	// a cross-partition Send panics — partitions have physically
@@ -201,9 +204,6 @@ func (n *Network) SetPartitions(of []int32) {
 func (n *Network) SetFault(inj *fault.Injector) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if inj != nil && n.ring != nil {
-		panic("tnet: fault injection requires inline delivery (per-attempt verdicts)")
-	}
 	n.inj = inj
 	if inj != nil && n.limbo == nil {
 		n.limbo = make(map[streamKey][]Packet)
@@ -218,17 +218,13 @@ func (n *Network) SetFault(inj *fault.Injector) {
 // cell (+1 before enqueue, -1 after the handler returns) — the
 // machine's per-partition drain doorbell. mutexLinks selects the
 // reference MutexLink build instead of RingLink. Install before
-// traffic flows; incompatible with a fault injector — the reliable
-// layer needs inline delivery's per-attempt verdict.
+// traffic flows.
 func (n *Network) SetRingWire(shards, linkCap int, wake func(shard int), mutexLinks bool, track func(dst topology.CellID, delta int64)) {
 	if shards <= 0 {
 		panic(fmt.Sprintf("tnet: %d delivery shards", shards))
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.inj != nil {
-		panic("tnet: links require no fault injector")
-	}
 	if wake == nil {
 		wake = func(int) {}
 	}
@@ -260,10 +256,10 @@ func (n *Network) SetRingWire(shards, linkCap int, wake func(shard int), mutexLi
 // controller runs on the calling goroutine and Send reports whether it
 // accepted the packet; a cross-shard packet rides its link, the
 // consuming shard is woken, and Send reports true. With a fault plan
-// installed the packet may instead be dropped, corrupted, duplicated
-// or held back, and the reliable layer reads false as "retransmit".
-// Every call counts as one wire message (attempts, not unique
-// packets).
+// installed the injector first decides the attempt's fate: the packet
+// may be dropped, corrupted, duplicated or held back before it is
+// routed, and the reliable layer reads false as "retransmit". Every
+// call counts as one wire message (attempts, not unique packets).
 func (n *Network) Send(p Packet) bool {
 	src, dst := p.Head.Src, p.Head.Dst
 	if !n.torus.Valid(dst) {
@@ -281,10 +277,17 @@ func (n *Network) Send(p Packet) bool {
 		s.perOp[op].Add(1)
 	}
 	if inj := n.inj; inj != nil {
-		return n.faultySend(inj, n.handler(dst), p)
+		return n.faultySend(inj, p)
 	}
+	return n.route(p)
+}
+
+// route puts one copy of a packet on its path: the cross-shard link
+// when there is one, else inline delivery.
+func (n *Network) route(p Packet) bool {
 	if rw := n.ring; rw != nil && !p.Inline {
-		if prod, cons := int(src)%rw.shards, int(dst)%rw.shards; prod != cons {
+		dst := p.Head.Dst
+		if prod, cons := int(p.Head.Src)%rw.shards, int(dst)%rw.shards; prod != cons {
 			// Count before the enqueue: once the packet is in the link
 			// the consumer may deliver and uncount it at any moment.
 			if rw.track != nil {
@@ -298,20 +301,15 @@ func (n *Network) Send(p Packet) bool {
 	return n.deliver(p)
 }
 
-// handler returns dst's receive controller.
-func (n *Network) handler(dst topology.CellID) Handler {
-	h := n.handlers[dst]
-	if h == nil {
-		panic(fmt.Sprintf("tnet: cell %d has no receive controller", dst))
-	}
-	return h
-}
-
 // deliver hands a packet to its destination's receive controller and,
 // when the sender transferred ownership, returns the payload to its
 // pool.
 func (n *Network) deliver(p Packet) bool {
-	ok := n.handler(p.Head.Dst)(p)
+	h := n.handlers[p.Head.Dst]
+	if h == nil {
+		panic(fmt.Sprintf("tnet: cell %d has no receive controller", p.Head.Dst))
+	}
+	ok := h(p)
 	if p.FreeOnDeliver && p.Payload != nil {
 		p.Payload.Release()
 	}
@@ -335,11 +333,15 @@ func (n *Network) DrainInbox(shard, max int) int {
 }
 
 // faultySend applies the injected wire fate to one transmission
-// attempt. Held (reordered) packets of the same stream are released
-// after any delivered attempt of that stream, so a held packet always
-// arrives later than a successor from its own stream — an observable
-// reorder that the receive-side dedup then collapses.
-func (n *Network) faultySend(inj *fault.Injector, h Handler, p Packet) bool {
+// attempt. The fate is decided at the sender, so it doubles as the
+// acknowledgement: drop, reorder and corrupt report false (the ack
+// timeout) whether or not the receiver sits behind a link; a damaged
+// copy still travels, to be rejected by the receiver's checksum. Held
+// (reordered) packets of the same stream are released after any intact
+// attempt of that stream, so a held packet always arrives later than a
+// successor from its own stream — an observable reorder that the
+// receive-side dedup then collapses.
+func (n *Network) faultySend(inj *fault.Injector, p Packet) bool {
 	key := streamKey{p.Head.Src, p.Head.Dst, p.Head.Op}
 	fate := inj.Decide(int(p.Head.Src), int(p.Head.Dst), int(p.Head.Op))
 	switch fate.Kind {
@@ -353,17 +355,16 @@ func (n *Network) faultySend(inj *fault.Injector, h Handler, p Packet) bool {
 		// arrives later as a duplicate.
 		return false
 	case fault.KindCorrupt:
-		ok := h(corruptPacket(p, fate.CorruptBit))
-		n.releaseHeld(key, h)
-		return ok
+		n.route(corruptPacket(p, fate.CorruptBit))
+		return false
 	case fault.KindDup:
-		ok := h(p)
-		h(p)
-		n.releaseHeld(key, h)
+		ok := n.route(p)
+		n.route(p)
+		n.releaseHeld(key)
 		return ok
 	default: // KindNone, KindDelay (the functional net is untimed)
-		ok := h(p)
-		n.releaseHeld(key, h)
+		ok := n.route(p)
+		n.releaseHeld(key)
 		return ok
 	}
 }
@@ -381,11 +382,11 @@ func corruptPacket(p Packet, bit uint64) Packet {
 	return p
 }
 
-// releaseHeld delivers every packet held on the stream, after the
-// in-flight delivery that triggered the release. The caller is the
-// stream's single sending goroutine, so a held packet can never race
-// its own retransmission.
-func (n *Network) releaseHeld(key streamKey, h Handler) {
+// releaseHeld routes every packet held on the stream, behind the
+// intact attempt that triggered the release. The caller is the
+// stream's sending goroutine, so a held packet can never race its own
+// retransmission and a link keeps its single producer.
+func (n *Network) releaseHeld(key streamKey) {
 	n.mu.Lock()
 	held := n.limbo[key]
 	if held == nil {
@@ -395,36 +396,18 @@ func (n *Network) releaseHeld(key streamKey, h Handler) {
 	delete(n.limbo, key)
 	n.mu.Unlock()
 	for _, q := range held {
-		h(q)
+		n.route(q)
 	}
 }
 
-// FlushHeld delivers every packet still held in limbo and reports how
-// many it released. The machine calls it at drain time, when all
-// controllers are quiescent; a flushed packet that was retransmitted
-// successfully dedups away, one whose retransmissions all failed
-// finally lands.
-func (n *Network) FlushHeld() int { return n.FlushHeldWhere(nil) }
-
-// FlushHeldWhere is FlushHeld restricted to streams whose (src, dst)
-// the match function accepts; nil accepts everything. A partition
-// drains only its own streams, leaving a neighbor's held packets for
-// that neighbor's own drain.
-func (n *Network) FlushHeldWhere(match func(src, dst topology.CellID) bool) int {
+// DropHeld discards the copies of p's stream still held in limbo. The
+// reliable layer calls it when it abandons p: a network that sat on a
+// packet past the sender's whole retry budget has lost it. So limbo
+// never outlives the transmission that filled it.
+func (n *Network) DropHeld(p Packet) {
 	n.mu.Lock()
-	var all []Packet
-	for key, held := range n.limbo {
-		if match != nil && !match(key.src, key.dst) {
-			continue
-		}
-		all = append(all, held...)
-		delete(n.limbo, key)
-	}
+	delete(n.limbo, streamKey{p.Head.Src, p.Head.Dst, p.Head.Op})
 	n.mu.Unlock()
-	for _, p := range all {
-		n.handler(p.Head.Dst)(p)
-	}
-	return len(all)
 }
 
 // Stats snapshots traffic counters, summed over the shards.

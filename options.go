@@ -107,8 +107,8 @@ func WithQueueWords(words int) Option {
 // barrier domain, its jobs run independently (Machine.RunJob, or the
 // gang Scheduler), and the T-net refuses cross-partition traffic —
 // the isolation boundary multi-tenant runs rely on. Default 1 (the
-// whole machine is one partition). Conflicts with WithSanitize and
-// WithCombining, whose models span all cells.
+// whole machine is one partition). Conflicts with WithSanitize, whose
+// model spans all cells.
 func WithPartitions(k int) Option {
 	return func(b *builder) error {
 		if k <= 0 {
@@ -166,8 +166,7 @@ func WithTimeline(tl *Timeline) Option {
 
 // WithFault injects a deterministic seeded wire-fault plan (see
 // ParseFaultPlan) and arms the MSC+'s reliable-delivery path. Implies
-// WithObserve and inline packet delivery (retransmission reads each
-// send's verdict).
+// WithObserve.
 func WithFault(plan *FaultPlan) Option {
 	return func(b *builder) error {
 		if plan == nil {

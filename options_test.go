@@ -39,6 +39,7 @@ func TestNewValidation(t *testing.T) {
 		{"nil fault plan", []Option{WithGrid(2, 2), WithFault(nil)}, "WithFault(nil)"},
 		{"zero workers", []Option{WithGrid(2, 2), WithDeliveryWorkers(0)}, "delivery workers"},
 		{"ring knobs ok", []Option{WithGrid(2, 2), WithDeliveryWorkers(2)}, ""},
+		{"partitions + combining ok", []Option{WithGrid(2, 2), WithPartitions(2), WithCombining()}, ""},
 		{"fault + sanitize + combining ok", []Option{WithGrid(2, 2), WithFault(plan), WithSanitize(), WithCombining()}, ""},
 	}
 	for _, tc := range cases {

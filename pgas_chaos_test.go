@@ -7,6 +7,7 @@
 package ap1000plus
 
 import (
+	"runtime"
 	"testing"
 
 	"ap1000plus/internal/apps"
@@ -14,9 +15,12 @@ import (
 )
 
 // runPGASChaosKernel builds and runs one kernel instance under an
-// optional plan, returning the verified snapshot and metrics.
-func runPGASChaosKernel(t *testing.T, build func(mode apps.PGASMode, snap *[]int64) (*apps.Instance, error), mode apps.PGASMode, plan *fault.Plan) ([]int64, Metrics) {
+// optional plan, returning the verified snapshot and metrics. The apps
+// package builds its machines with the default worker count,
+// min(GOMAXPROCS, cells), so the sweep sets GOMAXPROCS around the run.
+func runPGASChaosKernel(t *testing.T, build func(mode apps.PGASMode, snap *[]int64) (*apps.Instance, error), mode apps.PGASMode, plan *fault.Plan, workers int) ([]int64, Metrics) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	obsWas, faultWas := apps.Observe, apps.Fault
 	apps.Observe, apps.Fault = true, plan
 	defer func() { apps.Observe, apps.Fault = obsWas, faultWas }()
@@ -68,7 +72,7 @@ func TestChaosPGASKernels(t *testing.T) {
 	for _, k := range kernels {
 		for _, mode := range []apps.PGASMode{apps.PGASNaive, apps.PGASAggregated} {
 			t.Run(k.name+"/"+mode.String(), func(t *testing.T) {
-				base, baseM := runPGASChaosKernel(t, k.build, mode, nil)
+				base, baseM := runPGASChaosKernel(t, k.build, mode, nil, 4)
 				if baseM.Fault != nil {
 					t.Fatal("fault metrics reported on a fault-free machine")
 				}
@@ -78,35 +82,37 @@ func TestChaosPGASKernels(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, mt := runPGASChaosKernel(t, k.build, mode, plan)
-						if len(got) != len(base) {
-							t.Fatalf("snapshot length %d, fault-free %d", len(got), len(base))
-						}
-						for i := range got {
-							if got[i] != base[i] {
-								t.Fatalf("snapshot[%d] = %d, fault-free run produced %d", i, got[i], base[i])
+						for _, workers := range chaosWorkers {
+							got, mt := runPGASChaosKernel(t, k.build, mode, plan, workers)
+							if len(got) != len(base) {
+								t.Fatalf("snapshot length %d, fault-free %d", len(got), len(base))
 							}
-						}
-						for i := range mt.Cells {
-							if g, w := mt.Cells[i].FlagIncrements, baseM.Cells[i].FlagIncrements; g != w {
-								t.Errorf("cell %d flag increments = %d, fault-free %d (exactly-once violated)", i, g, w)
+							for i := range got {
+								if got[i] != base[i] {
+									t.Fatalf("snapshot[%d] = %d, fault-free run produced %d", i, got[i], base[i])
+								}
 							}
-							if g, w := mt.Cells[i].AtomicsExecuted, baseM.Cells[i].AtomicsExecuted; g != w {
-								t.Errorf("cell %d atomics executed = %d, fault-free %d (exactly-once violated)", i, g, w)
+							for i := range mt.Cells {
+								if g, w := mt.Cells[i].FlagIncrements, baseM.Cells[i].FlagIncrements; g != w {
+									t.Errorf("cell %d flag increments = %d, fault-free %d (exactly-once violated)", i, g, w)
+								}
+								if g, w := mt.Cells[i].AtomicsExecuted, baseM.Cells[i].AtomicsExecuted; g != w {
+									t.Errorf("cell %d atomics executed = %d, fault-free %d (exactly-once violated)", i, g, w)
+								}
 							}
-						}
-						f := mt.Fault
-						if f == nil {
-							t.Fatal("Metrics().Fault nil on a machine with a fault plan")
-						}
-						if f.CellFaults != 0 {
-							t.Fatalf("retry budget exhausted %d times under a recoverable plan", f.CellFaults)
-						}
-						if p.drops && (f.Drops == 0 || f.Retransmits == 0) {
-							t.Errorf("drop plan: drops=%d retransmits=%d, want both > 0", f.Drops, f.Retransmits)
-						}
-						if p.dups && (f.Dups == 0 || f.Dedups == 0) {
-							t.Errorf("dup plan: dups=%d dedups=%d, want both > 0", f.Dups, f.Dedups)
+							f := mt.Fault
+							if f == nil {
+								t.Fatal("Metrics().Fault nil on a machine with a fault plan")
+							}
+							if f.CellFaults != 0 {
+								t.Fatalf("retry budget exhausted %d times under a recoverable plan", f.CellFaults)
+							}
+							if p.drops && (f.Drops == 0 || f.Retransmits == 0) {
+								t.Errorf("drop plan: drops=%d retransmits=%d, want both > 0", f.Drops, f.Retransmits)
+							}
+							if p.dups && (f.Dups == 0 || f.Dedups == 0) {
+								t.Errorf("dup plan: dups=%d dedups=%d, want both > 0", f.Dups, f.Dedups)
+							}
 						}
 					})
 				}

@@ -119,13 +119,13 @@ func snapshotTenant(tb *tenantBufs, m *Machine, part int) tenantSnapshot {
 	return s
 }
 
-func tenancyChaosMachine(t *testing.T) *Machine {
+func tenancyChaosMachine(t *testing.T, workers int) *Machine {
 	t.Helper()
 	plan, err := ParseFaultPlan("drop=0.05,dup=0.05,reorder=0.04,corrupt=0.03,seed=99")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(WithCells(8), WithPartitions(2), WithObserve(), WithFault(plan))
+	m, err := New(WithCells(8), WithPartitions(2), WithObserve(), WithFault(plan), WithDeliveryWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,83 +138,85 @@ func TestChaosTenantIsolation(t *testing.T) {
 		words  = 32
 	)
 
-	// Solo: tenant A alone on partition 0 of an idle machine.
-	solo := tenancyChaosMachine(t)
-	soloBufs := allocTenantBufs(t, solo, 0, words)
-	if err := solo.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if err := solo.RunJob(0, tenantProgram(soloBufs, 1, rounds, words)); err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotTenant(soloBufs, solo, 0)
-	if err := solo.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if want.retransmits == 0 || want.dedups == 0 {
-		t.Fatalf("fault plan too tame: retransmits=%d dedups=%d, the chaos run would prove nothing",
-			want.retransmits, want.dedups)
-	}
+	for _, workers := range chaosWorkers {
+		// Solo: tenant A alone on partition 0 of an idle machine.
+		solo := tenancyChaosMachine(t, workers)
+		soloBufs := allocTenantBufs(t, solo, 0, words)
+		if err := solo.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if err := solo.RunJob(0, tenantProgram(soloBufs, 1, rounds, words)); err != nil {
+			t.Fatal(err)
+		}
+		want := snapshotTenant(soloBufs, solo, 0)
+		if err := solo.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if want.retransmits == 0 || want.dedups == 0 {
+			t.Fatalf("fault plan too tame: retransmits=%d dedups=%d, the chaos run would prove nothing",
+				want.retransmits, want.dedups)
+		}
 
-	// Combined: same job on partition 0 while a chaos tenant hammers
-	// partition 1 with triple the traffic, concurrently.
-	m := tenancyChaosMachine(t)
-	aBufs := allocTenantBufs(t, m, 0, words)
-	bBufs := allocTenantBufs(t, m, 1, words)
-	if err := m.Open(); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		errs[0] = m.RunJob(0, tenantProgram(aBufs, 1, rounds, words))
-	}()
-	go func() {
-		defer wg.Done()
-		errs[1] = m.RunJob(1, tenantProgram(bBufs, 9000, 3*rounds, words))
-	}()
-	wg.Wait()
-	got := snapshotTenant(aBufs, m, 0)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("tenant %d: %v", i, err)
+		// Combined: same job on partition 0 while a chaos tenant hammers
+		// partition 1 with triple the traffic, concurrently.
+		m := tenancyChaosMachine(t, workers)
+		aBufs := allocTenantBufs(t, m, 0, words)
+		bBufs := allocTenantBufs(t, m, 1, words)
+		if err := m.Open(); err != nil {
+			t.Fatal(err)
 		}
-	}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			errs[0] = m.RunJob(0, tenantProgram(aBufs, 1, rounds, words))
+		}()
+		go func() {
+			defer wg.Done()
+			errs[1] = m.RunJob(1, tenantProgram(bBufs, 9000, 3*rounds, words))
+		}()
+		wg.Wait()
+		got := snapshotTenant(aBufs, m, 0)
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("tenant %d: %v", i, err)
+			}
+		}
 
-	// Tenant A's world must be bit-identical to the solo run.
-	for i := range want.data {
-		if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
-			t.Fatalf("data[%d] = %v with a chaos neighbor, solo run produced %v", i, got.data[i], want.data[i])
+		// Tenant A's world must be bit-identical to the solo run.
+		for i := range want.data {
+			if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
+				t.Fatalf("data[%d] = %v with a chaos neighbor, solo run produced %v", i, got.data[i], want.data[i])
+			}
 		}
-	}
-	for i := range want.flags {
-		if got.flags[i] != want.flags[i] {
-			t.Fatalf("cell %d flag increments = %d with a chaos neighbor, solo %d (exactly-once violated)",
-				i, got.flags[i], want.flags[i])
+		for i := range want.flags {
+			if got.flags[i] != want.flags[i] {
+				t.Fatalf("cell %d flag increments = %d with a chaos neighbor, solo %d (exactly-once violated)",
+					i, got.flags[i], want.flags[i])
+			}
 		}
-	}
-	type pair struct {
-		name      string
-		got, want int64
-	}
-	for _, p := range []pair{
-		{"puts", got.puts, want.puts},
-		{"put-bytes", got.putBytes, want.putBytes},
-		{"delivered-bytes", got.delivered, want.delivered},
-		{"recv-DMAs", got.recvDMAs, want.recvDMAs},
-		{"retransmits", got.retransmits, want.retransmits},
-		{"dedups", got.dedups, want.dedups},
-		{"corrupt-detected", got.corrupt, want.corrupt},
-		{"cell-faults", got.cellFaults, want.cellFaults},
-		{"hw-barriers", got.barriers, want.barriers},
-	} {
-		if p.got != p.want {
-			t.Errorf("partition-0 %s = %d with a chaos neighbor, solo run produced %d", p.name, p.got, p.want)
+		type pair struct {
+			name      string
+			got, want int64
+		}
+		for _, p := range []pair{
+			{"puts", got.puts, want.puts},
+			{"put-bytes", got.putBytes, want.putBytes},
+			{"delivered-bytes", got.delivered, want.delivered},
+			{"recv-DMAs", got.recvDMAs, want.recvDMAs},
+			{"retransmits", got.retransmits, want.retransmits},
+			{"dedups", got.dedups, want.dedups},
+			{"corrupt-detected", got.corrupt, want.corrupt},
+			{"cell-faults", got.cellFaults, want.cellFaults},
+			{"hw-barriers", got.barriers, want.barriers},
+		} {
+			if p.got != p.want {
+				t.Errorf("partition-0 %s = %d with a chaos neighbor, solo run produced %d", p.name, p.got, p.want)
+			}
 		}
 	}
 }

@@ -133,9 +133,9 @@ func wireDiffOracle(np int) [][]byte {
 // the memory its closed form predicts — an oracle that shares no code
 // with receive/deliver — and the same flag counts, on every delivery
 // shape: one worker (everything inline), several (links), one per
-// cell, combining's inline transport, and under seeded fault plans
-// (inline transport with retransmission and dedup). Run under -race in
-// make verify.
+// cell, combining's inline transport, and under seeded fault plans on
+// the same shapes (retransmission and dedup, inline and over links).
+// Run under -race in make verify.
 func TestWireDifferential(t *testing.T) {
 	var want wireDiffResult
 	check := func(t *testing.T, opts ...Option) {
@@ -169,7 +169,7 @@ func TestWireDifferential(t *testing.T) {
 		"drop=0.05,reorder=0.05,seed=23",
 	} {
 		t.Run("fault "+spec, func(t *testing.T) {
-			for _, workers := range []int{4, 16} {
+			for _, workers := range []int{1, 4, 16} {
 				plan, err := ParseFaultPlan(spec)
 				if err != nil {
 					t.Fatal(err)
