@@ -1,11 +1,12 @@
 # The verify target is the full correctness gate: compile, gofmt,
 # go vet, the repo's own static checker (cmd/apvet), and the test
 # suite under the Go race detector, plus two guards that only mean
-# anything without -race: the zero-allocation PUT issue path
-# (sync.Pool drops items under the race detector) and the
-# deterministic table golden. The bench module is vetted and tested
-# on its own lines: it compiles against internal/ APIs but the root
-# ./... does not see it. CI and pre-commit should run `make verify`.
+# anything without -race: the zero-allocation PUT issue paths
+# (single, batched and stride; sync.Pool drops items under the race
+# detector) and the deterministic table golden. The bench module is
+# vetted and tested on its own lines: it compiles against internal/
+# APIs but the root ./... does not see it. CI and pre-commit should
+# run `make verify`.
 
 GO ?= go
 
@@ -45,7 +46,7 @@ verify:
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestConcurrentFIFOProperty|TestOverflowConcurrentFIFO' ./internal/ring/
 	$(GO) test -race -run TestWireDifferential .
-	$(GO) test -run 'TestPutIssueZeroAllocUnobserved|TestBatchIssueZeroAllocUnobserved' .
+	$(GO) test -run 'TestPutIssueZeroAllocUnobserved|TestBatchIssueZeroAllocUnobserved|TestStridePutZeroAllocUnobserved' .
 	$(GO) test -run TestDSMCacheHitZeroAlloc ./internal/dsm/
 	$(GO) test -run TestPGASAggregatedZeroAlloc ./internal/pgas/
 	$(GO) test -run TestTablesDeterministicOrder ./internal/stats/
@@ -54,12 +55,14 @@ verify:
 # chaos is the fault-injection gate: the seeded chaos kernels and the
 # random-workload property tests under the race detector (retransmit,
 # dedup and limbo-release paths are concurrency-heavy), plus short
-# fuzz passes over the fault-plan parser and the trace codec's
-# corrupted-wire seeds.
+# fuzz passes over the fault-plan parser, the trace codec's
+# corrupted-wire seeds and the stride DMA engine against its
+# byte-at-a-time oracle.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestFaultProperty|TestBatchMatchesSingleIssue|TestPGASProperty' .
 	$(GO) test -fuzz FuzzPlan -fuzztime 5s ./internal/fault/
 	$(GO) test -fuzz FuzzRead -fuzztime 5s ./internal/trace/
+	$(GO) test -fuzz FuzzCopyStride -fuzztime 5s ./internal/mem/
 
 # The ring-buffer property tests and the wire differential gate run
 # inside `go test -race ./...` too; the explicit lines above pin them

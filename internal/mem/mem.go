@@ -11,12 +11,24 @@
 // the hardware are preserved while numeric kernels keep direct slice
 // access to their data — the "user-level direct access" the paper's
 // zero-copy PUT depends on.
+//
+// The engine has four entry points (Copy, CopyStride, CapturePayload,
+// Payload.Deliver) and one body, copyStrideSegs. It decides everything
+// that depends on the shape of a transfer once per transfer — whether
+// the whole pattern respects the word rule of Float64 segments, which
+// of five shapes the two patterns reduce to, which backing slices and
+// which kernel serve the kind pair and item size — and then runs a loop
+// that only moves data: one 8-byte load and store per REAL*8 element,
+// one copy per larger item. See copyStrideSegs for the normal form, the
+// kernel table and the ordering rule that makes overlapping transfers
+// well defined.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -231,40 +243,11 @@ func writeElem8(seg *Segment, off int64, v uint64) error {
 	}
 }
 
-// copyRun copies n contiguous bytes between segments starting at the
-// given intra-segment byte offsets.
-func copyRun(dst *Segment, doff int64, src *Segment, soff int64, n int64) error {
-	if n == 0 {
-		return nil
-	}
-	switch {
-	case dst.kind == Bytes && src.kind == Bytes:
-		copy(dst.bytes[doff:doff+n], src.bytes[soff:soff+n])
-		return nil
-	case dst.kind == Float64 && src.kind == Float64:
-		if doff%8 != 0 || soff%8 != 0 || n%8 != 0 {
-			return fmt.Errorf("mem: float64<-float64 copy misaligned (doff=%d soff=%d n=%d)", doff, soff, n)
-		}
-		copy(dst.f64[doff/8:(doff+n)/8], src.f64[soff/8:(soff+n)/8])
-		return nil
-	default:
-		// Cross-representation: move 8 bytes at a time; both sides
-		// must be 8-aligned with n a multiple of 8, which the
-		// float64 side requires anyway.
-		if doff%8 != 0 || soff%8 != 0 || n%8 != 0 {
-			return fmt.Errorf("mem: cross-kind copy misaligned (doff=%d soff=%d n=%d)", doff, soff, n)
-		}
-		for i := int64(0); i < n; i += 8 {
-			v, err := readElem8(src, soff+i)
-			if err != nil {
-				return err
-			}
-			if err := writeElem8(dst, doff+i, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// copyRun moves n contiguous bytes between segments starting at the
+// given intra-segment byte offsets, with memmove semantics: the run is
+// read completely before it is written. A run is a single item.
+func copyRun(dst *Segment, doff int64, src *Segment, soff int64, n int64) {
+	copyItems(dst, doff, 0, src, soff, 0, n, 1)
 }
 
 // Copy performs a contiguous DMA transfer of size bytes from
@@ -286,7 +269,7 @@ func Copy(dst *Space, dstAddr Addr, src *Space, srcAddr Addr, size int64) error 
 	if err != nil {
 		return fmt.Errorf("mem: copy destination: %w", err)
 	}
-	return copyRun(dseg, int64(dstAddr-dseg.base), sseg, int64(srcAddr-sseg.base), size)
+	return copyStrideSegs(dseg, int64(dstAddr-dseg.base), Contiguous(size), sseg, int64(srcAddr-sseg.base), Contiguous(size))
 }
 
 // Stride describes one side of a one-dimensional stride transfer
@@ -314,10 +297,39 @@ func (s Stride) Extent() int64 {
 	return s.Count*s.ItemSize + (s.Count-1)*s.Skip
 }
 
-// Validate rejects patterns the hardware cannot express.
+// Validate rejects patterns the hardware cannot express, including
+// those whose Total or Extent does not fit an int64: a wrapped Total
+// would pass every size check downstream and move the wrong bytes.
 func (s Stride) Validate() error {
 	if s.ItemSize <= 0 || s.Count <= 0 || s.Skip < 0 {
 		return fmt.Errorf("mem: invalid stride %+v", s)
+	}
+	totalHi, total := bits.Mul64(uint64(s.ItemSize), uint64(s.Count))
+	gapsHi, gaps := bits.Mul64(uint64(s.Count-1), uint64(s.Skip))
+	extent, carry := bits.Add64(total, gaps, 0)
+	if totalHi|gapsHi|carry != 0 || extent > math.MaxInt64 {
+		return fmt.Errorf("mem: stride %+v overflows the address space", s)
+	}
+	return nil
+}
+
+// normal folds a side without gaps into one item: it touches a single
+// contiguous range, as a pattern of one item does.
+func (s Stride) normal() Stride {
+	if s.Count > 1 && s.Skip == 0 {
+		return Contiguous(s.Total())
+	}
+	return s
+}
+
+// checkWords enforces the word rule on one side of a transfer that
+// touches a Float64 segment. Such a transfer moves whole 8-byte words,
+// so on both sides the offset, the item size and, with more than one
+// item, the skip must be multiples of 8.
+func checkWords(side string, seg *Segment, off int64, pat Stride) error {
+	if off%8 != 0 || pat.ItemSize%8 != 0 || (pat.Count > 1 && pat.Skip%8 != 0) {
+		return fmt.Errorf("mem: misaligned %s %+v at offset %d of %s segment %q: a transfer touching a float64 segment moves whole 8-byte words",
+			side, pat, off, seg.kind, seg.name)
 	}
 	return nil
 }
@@ -348,39 +360,170 @@ func CopyStride(dst *Space, dstAddr Addr, dstPat Stride, src *Space, srcAddr Add
 	return copyStrideSegs(dseg, int64(dstAddr-dseg.base), dstPat, sseg, int64(srcAddr-sseg.base), srcPat)
 }
 
-// copyStrideSegs is the stride-DMA inner loop over resolved segments:
-// the source pattern at soff within sseg streams into the destination
-// pattern at doff within dseg. Patterns must already be validated and
-// total-matched.
+// copyStrideSegs is the DMA engine over resolved segments: the source
+// pattern at soff within sseg streams into the destination pattern at
+// doff within dseg. Patterns must already be validated, total-matched
+// and inside their segments. Everything that depends on the shape of
+// the transfer or the representation of the segments is decided here,
+// once, and the loop that follows only moves data.
+//
+// Alignment first: the word rule (checkWords) covers the whole
+// pattern, so a rejected transfer has moved nothing.
+//
+// Normal form: a side with one item or no skip is one contiguous
+// range, so every transfer is one of
+//
+//	contiguous <- contiguous   one copyRun of the total
+//	contiguous <- strided      gather  ┐ copyItems: n items of one
+//	strided    <- contiguous   scatter ├ size, each side advancing
+//	strided    <- strided, equal items ┘ by its own step
+//	strided    <- strided, unequal items (Figure 3's 2x3 into 3x2):
+//	                           copySplit cuts the stream at the item
+//	                           boundaries of both sides
+//
+// Only the last needs to track a position inside two items at once;
+// it is chosen by the patterns the command carries and by nothing
+// else.
+//
+// Order and overlap: data moves in runs, a run being the bytes between
+// consecutive item boundaries of either side. Runs move in ascending
+// order and each is read completely before it is written. That is
+// observable only when source and destination overlap inside one
+// segment, and there folding a skip-free side would merge its runs, so
+// an overlapping transfer keeps the patterns as given.
 func copyStrideSegs(dseg *Segment, doff int64, dstPat Stride, sseg *Segment, soff int64, srcPat Stride) error {
-	var (
-		si, di       int64 // item indices
-		sfill, dfill int64 // bytes already consumed/produced in current item
-	)
-	remaining := srcPat.Total()
-	for remaining > 0 {
-		srun := srcPat.ItemSize - sfill
-		drun := dstPat.ItemSize - dfill
-		run := srun
-		if drun < run {
-			run = drun
-		}
-		sp := soff + si*(srcPat.ItemSize+srcPat.Skip) + sfill
-		dp := doff + di*(dstPat.ItemSize+dstPat.Skip) + dfill
-		if err := copyRun(dseg, dp, sseg, sp, run); err != nil {
+	if dseg.kind == Float64 || sseg.kind == Float64 {
+		if err := checkWords("source", sseg, soff, srcPat); err != nil {
 			return err
 		}
-		sfill += run
-		dfill += run
-		remaining -= run
-		if sfill == srcPat.ItemSize {
-			sfill = 0
-			si++
-		}
-		if dfill == dstPat.ItemSize {
-			dfill = 0
-			di++
+		if err := checkWords("destination", dseg, doff, dstPat); err != nil {
+			return err
 		}
 	}
+	src, dst := srcPat, dstPat
+	if overlap := dseg == sseg && doff < soff+src.Extent() && soff < doff+dst.Extent(); !overlap {
+		src, dst = src.normal(), dst.normal()
+	}
+	switch {
+	case src.Count == 1 && dst.Count == 1:
+		copyRun(dseg, doff, sseg, soff, src.ItemSize)
+	case dst.Count == 1:
+		copyItems(dseg, doff, src.ItemSize, sseg, soff, src.ItemSize+src.Skip, src.ItemSize, src.Count)
+	case src.Count == 1:
+		copyItems(dseg, doff, dst.ItemSize+dst.Skip, sseg, soff, dst.ItemSize, dst.ItemSize, dst.Count)
+	case src.ItemSize == dst.ItemSize:
+		copyItems(dseg, doff, dst.ItemSize+dst.Skip, sseg, soff, src.ItemSize+src.Skip, src.ItemSize, src.Count)
+	default:
+		copySplit(dseg, doff, dst, sseg, soff, src)
+	}
 	return nil
+}
+
+// copyItems moves n items of item bytes, the i-th from byte offset
+// soff+i*sstep of sseg to doff+i*dstep of dseg, in ascending order.
+// It takes the two backing slices once and hands them to the kernel
+// for the kind pair, which in turn picks its loop by item size:
+//
+//	                   item == 8                 any other item
+//	bytes   <- bytes   one 8-byte load/store     copy of a window
+//	float64 <- float64 d[i] = s[j]               copy of a window
+//	cross-kind         Float64bits / Float64frombits, word by word
+//
+// The 8-byte item is the Fortran REAL*8 element of every column
+// exchange; it must not cost a memmove call.
+func copyItems(dseg *Segment, doff, dstep int64, sseg *Segment, soff, sstep int64, item, n int64) {
+	switch {
+	case dseg.kind == Bytes && sseg.kind == Bytes:
+		itemsBytes(dseg.bytes, doff, dstep, sseg.bytes, soff, sstep, item, n)
+	case dseg.kind == Float64 && sseg.kind == Float64:
+		itemsWords(dseg.f64, doff/8, dstep/8, sseg.f64, soff/8, sstep/8, item/8, n)
+	case dseg.kind == Float64:
+		itemsBytesToWords(dseg.f64, doff/8, dstep/8, sseg.bytes, soff, sstep, item/8, n)
+	default:
+		itemsWordsToBytes(dseg.bytes, doff, dstep, sseg.f64, soff/8, sstep/8, item/8, n)
+	}
+}
+
+// The kernels. Byte-side positions and steps are in bytes, word-side
+// ones (and w, the item size of a kernel with a word side) in words.
+// Each is a function of its own so that its loops keep their few
+// variables in registers.
+
+func itemsBytes(d []byte, do, dstep int64, s []byte, so, sstep int64, item, n int64) {
+	if item == 8 {
+		for ; n > 0; n-- {
+			// Full slice expressions: one bounds check each, and the
+			// load and store compile to a single MOVQ pair.
+			binary.LittleEndian.PutUint64(d[do:do+8:do+8], binary.LittleEndian.Uint64(s[so:so+8:so+8]))
+			do += dstep
+			so += sstep
+		}
+		return
+	}
+	for ; n > 0; n-- {
+		copy(d[do:do+item], s[so:so+item])
+		do += dstep
+		so += sstep
+	}
+}
+
+func itemsWords(d []float64, di, dstep int64, s []float64, si, sstep int64, w, n int64) {
+	if w == 1 {
+		for ; n > 0; n-- {
+			d[di] = s[si]
+			di += dstep
+			si += sstep
+		}
+		return
+	}
+	for ; n > 0; n-- {
+		copy(d[di:di+w], s[si:si+w])
+		di += dstep
+		si += sstep
+	}
+}
+
+func itemsBytesToWords(d []float64, di, dstep int64, s []byte, so, sstep int64, w, n int64) {
+	for ; n > 0; n-- {
+		for k := int64(0); k < w; k++ {
+			b := so + 8*k
+			d[di+k] = math.Float64frombits(binary.LittleEndian.Uint64(s[b : b+8 : b+8]))
+		}
+		di += dstep
+		so += sstep
+	}
+}
+
+func itemsWordsToBytes(d []byte, do, dstep int64, s []float64, si, sstep int64, w, n int64) {
+	for ; n > 0; n-- {
+		for k := int64(0); k < w; k++ {
+			b := do + 8*k
+			binary.LittleEndian.PutUint64(d[b:b+8:b+8], math.Float64bits(s[si+k]))
+		}
+		do += dstep
+		si += sstep
+	}
+}
+
+// copySplit is the general stride loop: both sides strided with
+// different item sizes, so the stream is cut into runs at the item
+// boundaries of both. It is also what an overlapping transfer runs
+// through when its patterns are not in normal form.
+func copySplit(dseg *Segment, doff int64, dstPat Stride, sseg *Segment, soff int64, srcPat Stride) {
+	srun, drun := srcPat.ItemSize, dstPat.ItemSize // bytes left in the current item
+	for remaining := srcPat.Total(); remaining > 0; {
+		run := min(srun, drun)
+		copyRun(dseg, doff, sseg, soff, run)
+		remaining -= run
+		soff += run
+		doff += run
+		if srun -= run; srun == 0 {
+			srun = srcPat.ItemSize
+			soff += srcPat.Skip
+		}
+		if drun -= run; drun == 0 {
+			drun = dstPat.ItemSize
+			doff += dstPat.Skip
+		}
+	}
 }

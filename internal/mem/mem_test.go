@@ -229,6 +229,10 @@ func TestStrideValidate(t *testing.T) {
 		{ItemSize: 0, Count: 1},
 		{ItemSize: 8, Count: 0},
 		{ItemSize: 8, Count: 1, Skip: -1},
+		{ItemSize: 1 << 62, Count: 4},                // Total wraps to 0
+		{ItemSize: 1 << 32, Count: 1 << 31},          // Total wraps negative
+		{ItemSize: 8, Count: 3, Skip: 1 << 62},       // gaps wrap
+		{ItemSize: 1 << 61, Count: 2, Skip: 1 << 62}, // Total fits, Extent does not
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) should fail", bad)
@@ -365,33 +369,5 @@ func TestStrideGatherScatterRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkCopyContiguous64K(b *testing.B) {
-	sp1, _ := NewSpace(1 << 20)
-	sp2, _ := NewSpace(1 << 20)
-	src, _ := sp1.Alloc("src", Bytes, 64<<10)
-	dst, _ := sp2.Alloc("dst", Bytes, 64<<10)
-	b.SetBytes(64 << 10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := Copy(sp2, dst.Base(), sp1, src.Base(), 64<<10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCopyStrideColumn(b *testing.B) {
-	sp, _ := NewSpace(1 << 22)
-	mseg, _, _ := sp.AllocFloat64("m", 256*256)
-	vseg, _, _ := sp.AllocFloat64("v", 256)
-	pat := Stride{ItemSize: 8, Count: 256, Skip: 255 * 8}
-	b.SetBytes(256 * 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := CopyStride(sp, vseg.Base(), Contiguous(256*8), sp, mseg.Base(), pat); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

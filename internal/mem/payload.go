@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -113,8 +114,12 @@ func (p *Payload) Release() {
 	payloadPool.Put(p)
 }
 
-// Sum64 hashes the payload contents (FNV-1a over the in-flight
-// bytes) for the reliable-delivery checksum. A nil or empty payload
+// Sum64 hashes the payload contents for the reliable-delivery
+// checksum: FNV-1a folding one little-endian 8-byte word per step
+// (h = (h ^ w) * prime) and the tail bytes singly, so a Bytes and a
+// Float64 payload holding the same bytes hash alike. Multiplication
+// by the odd prime is a bijection on uint64, so two payloads that
+// differ inside a single word never collide. A nil or empty payload
 // hashes to the FNV offset basis. Allocation-free.
 func (p *Payload) Sum64() uint64 {
 	const (
@@ -127,15 +132,16 @@ func (p *Payload) Sum64() uint64 {
 	}
 	if p.seg.kind == Float64 {
 		for _, v := range p.seg.f64[:p.size/8] {
-			b := math.Float64bits(v)
-			for s := 0; s < 64; s += 8 {
-				h = (h ^ (b >> s & 0xff)) * prime
-			}
+			h = (h ^ math.Float64bits(v)) * prime
 		}
 		return h
 	}
-	for _, b := range p.seg.bytes[:p.size] {
-		h = (h ^ uint64(b)) * prime
+	b := p.seg.bytes[:p.size]
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * prime
+	}
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime
 	}
 	return h
 }
@@ -176,18 +182,12 @@ func CapturePayload(src *Space, addr Addr, srcPat Stride) (*Payload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mem: capture: %w", err)
 	}
-	kind := seg.Kind()
-	if kind == Float64 && total%8 != 0 {
-		// A sub-element byte transfer from a float segment must fall
-		// back to byte representation.
-		kind = Bytes
-	}
 	p := payloadPool.Get().(*Payload)
 	if !p.pooled {
 		p.pooled = true
 		inFlight.Add(1)
 	}
-	p.reset(kind, total)
+	p.reset(seg.Kind(), total)
 	if err := copyStrideSegs(&p.seg, 0, Contiguous(total), seg, int64(addr-seg.base), srcPat); err != nil {
 		p.Release()
 		return nil, err

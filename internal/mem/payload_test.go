@@ -1,6 +1,11 @@
 package mem
 
-import "testing"
+import (
+	"encoding/binary"
+	"math/rand"
+	"strings"
+	"testing"
+)
 
 func TestCaptureDeliverContiguous(t *testing.T) {
 	src, _ := NewSpace(1 << 16)
@@ -107,5 +112,77 @@ func TestCaptureErrors(t *testing.T) {
 	}
 	if _, err := CapturePayload(src, seg.Base(), Contiguous(17)); err == nil {
 		t.Fatal("overrun capture should fail")
+	}
+	// Half an element of a float64 segment: there is no byte
+	// representation to fall back to, and the error says which segment
+	// cannot supply it.
+	fseg, _, _ := src.AllocFloat64("f", 4)
+	inFlight := PayloadsInFlight()
+	_, err := CapturePayload(src, fseg.Base(), Contiguous(4))
+	if err == nil || !strings.Contains(err.Error(), `float64 segment "f"`) || strings.Contains(err.Error(), "cross-kind") {
+		t.Fatalf("sub-element capture: %v", err)
+	}
+	if n := PayloadsInFlight(); n != inFlight {
+		t.Fatalf("failed capture left payloads in flight: %d -> %d", inFlight, n)
+	}
+}
+
+// TestSum64 pins the three properties the reliable path needs of the
+// word-folding checksum: the representation does not matter, a flipped
+// bit anywhere (whole words or tail) changes the sum, and the fold is
+// FNV-1a over little-endian words with the tail folded byte by byte.
+func TestSum64(t *testing.T) {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	sp, _ := NewSpace(1 << 16)
+	bseg, _ := sp.Alloc("b", Bytes, 264)
+	fseg, _ := sp.Alloc("f", Float64, 264)
+	rng := rand.New(rand.NewSource(1994))
+	rng.Read(bseg.BytesData())
+	if err := Copy(sp, fseg.Base(), sp, bseg.Base(), 264); err != nil {
+		t.Fatal(err)
+	}
+	var nilP *Payload
+	if nilP.Sum64() != offset {
+		t.Error("nil payload must hash to the offset basis")
+	}
+	for size := int64(1); size <= 257; size++ {
+		p, err := CapturePayload(sp, bseg.Base(), Contiguous(size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := p.Sum64()
+		b := bseg.BytesData()[:size]
+		want := uint64(offset)
+		for ; len(b) >= 8; b = b[8:] {
+			want = (want ^ binary.LittleEndian.Uint64(b)) * prime
+		}
+		for _, c := range b {
+			want = (want ^ uint64(c)) * prime
+		}
+		if sum != want {
+			t.Fatalf("size %d: Sum64 = %#x, want %#x", size, sum, want)
+		}
+		payloads := []*Payload{p}
+		if size%8 == 0 {
+			q, err := CapturePayload(sp, fseg.Base(), Contiguous(size))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.Sum64() != sum {
+				t.Fatalf("size %d: float64 payload hashes %#x, bytes payload %#x", size, q.Sum64(), sum)
+			}
+			payloads = append(payloads, q)
+		}
+		for _, p := range payloads {
+			for bit := uint64(0); bit < uint64(size)*8; bit++ {
+				if p.CorruptClone(bit).Sum64() == sum {
+					t.Fatalf("size %d kind %s: flipping bit %d leaves Sum64 unchanged", size, p.seg.kind, bit)
+				}
+			}
+			p.Release()
+		}
 	}
 }

@@ -143,6 +143,25 @@ func TestPutIssueZeroAllocUnobserved(t *testing.T) {
 	})
 }
 
+// TestStridePutZeroAllocUnobserved extends the contract to the stride
+// DMA engine: gathering a column into a pooled payload, scattering it
+// into the remote pattern and releasing the payload allocates nothing,
+// whichever kernel the shape selects.
+func TestStridePutZeroAllocUnobserved(t *testing.T) {
+	column := Stride{ItemSize: 8, Count: 8, Skip: 56}
+	pairs := Stride{ItemSize: 16, Count: 4, Skip: 16}
+	issueAllocs(t, "stride PUT path", func(comm *Comm, segs []*Segment) func() {
+		return func() {
+			for _, pats := range [][2]Stride{{column, Contiguous(64)}, {Contiguous(64), column}, {column, column}, {column, pairs}} {
+				if err := comm.PutStride(1, segs[1].Base(), segs[0].Base(), NoFlag, NoFlag, true, pats[0], pats[1]); err != nil {
+					t.Error(err)
+				}
+			}
+			comm.AckWait()
+		}
+	})
+}
+
 // TestBatchIssueZeroAllocUnobserved extends the zero-cost contract to
 // the batched path: once the Comm's reusable CommandList and the
 // payload pool are warm, staging and committing a whole acknowledged
