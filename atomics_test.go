@@ -8,16 +8,19 @@
 package ap1000plus
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+
+	"ap1000plus/internal/msc"
 )
 
-// atomicCounterRun hammers one word on cell 0 with comm.FetchAdd from
-// every cell and returns the final counter, the multiset of fetched
-// values, and the machine metrics.
-func atomicCounterRun(t *testing.T, plan *FaultPlan, combining, sanitize bool, iters int) (uint64, map[int64]int, Metrics) {
+// atomicMachine builds an observed side x side machine with the given
+// fault plan, combining and sanitizer settings.
+func atomicMachine(t *testing.T, side int, plan *FaultPlan, combining, sanitize bool) *Machine {
 	t.Helper()
-	opts := []Option{WithGrid(2, 2), WithObserve()}
+	opts := []Option{WithGrid(side, side), WithObserve()}
 	if plan != nil {
 		opts = append(opts, WithFault(plan))
 	}
@@ -31,13 +34,22 @@ func atomicCounterRun(t *testing.T, plan *FaultPlan, combining, sanitize bool, i
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+// atomicCounterRun hammers one word on cell 0 with comm.FetchAdd from
+// every cell of a side x side machine and returns the final counter,
+// the multiset of fetched values, and the machine metrics.
+func atomicCounterRun(t *testing.T, side int, plan *FaultPlan, combining, sanitize bool, iters int) (uint64, map[int64]int, Metrics) {
+	t.Helper()
+	m := atomicMachine(t, side, plan, combining, sanitize)
 	seg, _, err := m.Cell(0).AllocFloat64("counter", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
 	fetched := make(map[int64]int)
-	err = m.Run(func(c *Cell) error {
+	mustRun(t, m, func(c *Cell) error {
 		comm := NewComm(c)
 		for i := 0; i < iters; i++ {
 			v, err := comm.FetchAdd(0, seg.Base(), 1)
@@ -50,15 +62,6 @@ func atomicCounterRun(t *testing.T, plan *FaultPlan, combining, sanitize bool, i
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FaultErr(); err != nil {
-		t.Fatalf("fault: %v", err)
-	}
-	if err := m.SanitizeErr(); err != nil {
-		t.Fatalf("sanitizer: %v", err)
-	}
 	total, err := m.Cell(0).Mem.LoadWord8(seg.Base())
 	if err != nil {
 		t.Fatal(err)
@@ -71,22 +74,10 @@ func atomicCounterRun(t *testing.T, plan *FaultPlan, combining, sanitize bool, i
 // and every intermediate sum fetched exactly once — drops must not
 // lose an increment, duplicates must not apply one twice.
 func TestChaosAtomicCounter(t *testing.T) {
-	plans := []struct{ name, spec string }{
-		{"drop", "drop=0.08,seed=42"},
-		{"dup", "dup=0.1,seed=7"},
-		{"drop+dup", "drop=0.05,dup=0.05,seed=42"},
-		{"reorder", "reorder=0.08,seed=13"},
-		{"corrupt", "corrupt=0.06,seed=5"},
-		{"storm", "drop=0.05,dup=0.05,reorder=0.04,corrupt=0.03,seed=99"},
-	}
 	const iters = 120
-	for _, p := range plans {
+	for _, p := range chaosPlans {
 		t.Run(p.name, func(t *testing.T) {
-			plan, err := ParseFaultPlan(p.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total, fetched, mt := atomicCounterRun(t, plan, false, false, iters)
+			total, fetched, mt := atomicCounterRun(t, 2, mustPlan(t, p.spec), false, false, iters)
 			np := 4
 			if want := uint64(np * iters); total != want {
 				t.Fatalf("final counter = %d, want %d", total, want)
@@ -118,29 +109,11 @@ func TestChaosAtomicCounter(t *testing.T) {
 // each cell's fetch log and the final words.
 func atomicPrivateRun(t *testing.T, plan *FaultPlan, combining, sanitize bool) ([][]int64, []uint64) {
 	t.Helper()
-	opts := []Option{WithGrid(2, 2)}
-	if plan != nil {
-		opts = append(opts, WithFault(plan))
-	}
-	if combining {
-		opts = append(opts, WithCombining())
-	}
-	if sanitize {
-		opts = append(opts, WithSanitize())
-	}
-	m, err := New(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := atomicMachine(t, 2, plan, combining, sanitize)
 	np := m.Cells()
-	segs := make([]*Segment, np)
-	for id := 0; id < np; id++ {
-		if segs[id], _, err = m.Cell(CellID(id)).AllocFloat64("words", np); err != nil {
-			t.Fatal(err)
-		}
-	}
+	segs, _ := allocEach(t, m, "words", np)
 	logs := make([][]int64, np)
-	err = m.Run(func(c *Cell) error {
+	mustRun(t, m, func(c *Cell) error {
 		comm := NewComm(c)
 		me := int64(c.ID())
 		slot := func(owner int) Addr { return segs[owner].Base() + Addr(me*8) }
@@ -167,15 +140,6 @@ func atomicPrivateRun(t *testing.T, plan *FaultPlan, combining, sanitize bool) (
 		comm.FenceAtomics()
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FaultErr(); err != nil {
-		t.Fatalf("fault: %v", err)
-	}
-	if err := m.SanitizeErr(); err != nil {
-		t.Fatalf("sanitizer: %v", err)
-	}
 	words := make([]uint64, 0, np*np)
 	for owner := 0; owner < np; owner++ {
 		for slot := 0; slot < np; slot++ {
@@ -194,6 +158,8 @@ func atomicPrivateRun(t *testing.T, plan *FaultPlan, combining, sanitize bool) (
 // results — under a plain run, a sanitized run, and a seeded drop+dup
 // plan. The hot counter compares fetch multisets; the private-word
 // workload compares every fetched value and final word bit for bit.
+// Whether any request combines on this 2x2 machine is a scheduling
+// race; TestAtomicHotCounterMessages pins that combining happens.
 func TestAtomicCombinedEqualsUncombined(t *testing.T) {
 	variants := []struct {
 		name     string
@@ -204,21 +170,11 @@ func TestAtomicCombinedEqualsUncombined(t *testing.T) {
 		{"sanitize", true, ""},
 		{"drop+dup", false, "drop=0.05,dup=0.05,seed=42"},
 	}
-	parse := func(t *testing.T, spec string) *FaultPlan {
-		if spec == "" {
-			return nil
-		}
-		p, err := ParseFaultPlan(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	for _, variant := range variants {
 		t.Run(variant.name, func(t *testing.T) {
 			const iters = 100
-			baseTotal, baseFetched, _ := atomicCounterRun(t, parse(t, variant.spec), false, variant.sanitize, iters)
-			combTotal, combFetched, combM := atomicCounterRun(t, parse(t, variant.spec), true, variant.sanitize, iters)
+			baseTotal, baseFetched, _ := atomicCounterRun(t, 2, mustPlan(t, variant.spec), false, variant.sanitize, iters)
+			combTotal, combFetched, _ := atomicCounterRun(t, 2, mustPlan(t, variant.spec), true, variant.sanitize, iters)
 			if combTotal != baseTotal {
 				t.Fatalf("hot counter: combined total = %d, uncombined = %d", combTotal, baseTotal)
 			}
@@ -232,14 +188,9 @@ func TestAtomicCombinedEqualsUncombined(t *testing.T) {
 						v, combFetched[v], n)
 				}
 			}
-			if variant.spec == "" {
-				if c := combM.Totals().AtomicsCombined; c == 0 {
-					t.Error("combining machine absorbed no requests on a hot counter")
-				}
-			}
 
-			baseLogs, baseWords := atomicPrivateRun(t, parse(t, variant.spec), false, variant.sanitize)
-			combLogs, combWords := atomicPrivateRun(t, parse(t, variant.spec), true, variant.sanitize)
+			baseLogs, baseWords := atomicPrivateRun(t, mustPlan(t, variant.spec), false, variant.sanitize)
+			combLogs, combWords := atomicPrivateRun(t, mustPlan(t, variant.spec), true, variant.sanitize)
 			for id := range baseLogs {
 				if len(combLogs[id]) != len(baseLogs[id]) {
 					t.Fatalf("cell %d: %d fetches combined vs %d uncombined",
@@ -266,16 +217,13 @@ func TestAtomicCombinedEqualsUncombined(t *testing.T) {
 // for coalescing, and are fenced by FenceAtomics like singly-issued
 // ones.
 func TestAtomicBatchStaged(t *testing.T) {
-	m, err := New(WithGrid(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := atomicMachine(t, 2, nil, false, false)
 	seg, _, err := m.Cell(0).AllocFloat64("counter", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const adds = 16
-	err = m.Run(func(c *Cell) error {
+	mustRun(t, m, func(c *Cell) error {
 		comm := NewComm(c)
 		b := comm.Batch()
 		for i := 0; i < adds; i++ {
@@ -288,9 +236,6 @@ func TestAtomicBatchStaged(t *testing.T) {
 		comm.FenceAtomics()
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	total, err := m.Cell(0).Mem.LoadWord8(seg.Base())
 	if err != nil {
 		t.Fatal(err)
@@ -311,11 +256,7 @@ func TestAtomicCombiningAcrossPartitions(t *testing.T) {
 	const iters, runs, parts = 50, 3, 4
 	for _, spec := range []string{"", "drop=0.05,dup=0.05,reorder=0.04,corrupt=0.03,seed=99"} {
 		opts := []Option{WithGrid(8, 4), WithPartitions(parts), WithCombining(), WithObserve()}
-		if spec != "" {
-			plan, err := ParseFaultPlan(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
+		if plan := mustPlan(t, spec); plan != nil {
 			opts = append(opts, WithFault(plan))
 		}
 		m, err := New(opts...)
@@ -364,6 +305,48 @@ func TestAtomicCombiningAcrossPartitions(t *testing.T) {
 		}
 		if err := m.DrainInvariantErr(); err != nil {
 			t.Errorf("plan %q: %v", spec, err)
+		}
+	}
+}
+
+// TestAtomicHotCounterMessages pins what is deterministic about the hot
+// counter on 4x4 and 8x8 machines. The counter lands on cells x iters
+// exactly. Uncombined, every fetch-add is one request and one reply.
+// Combined, each request absorbed into a station saves exactly those
+// two messages. How many are absorbed is a scheduling race (a station
+// stays open for one Gosched), so no combined count is pinned; only
+// that some combine, and that at 64 cells the tree brings the counter
+// under one message per op. The sweep over GOMAXPROCS keeps the
+// verdict independent of the host's cores.
+func TestAtomicHotCounterMessages(t *testing.T) {
+	const iters = 100
+	for _, procs := range []int{1, 4} {
+		for _, side := range []int{4, 8} {
+			for _, combining := range []bool{false, true} {
+				t.Run(fmt.Sprintf("procs=%d/cells=%d/combining=%v", procs, side*side, combining), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					total, _, mt := atomicCounterRun(t, side, nil, combining, false, iters)
+					ops := int64(side * side * iters)
+					if total != uint64(ops) {
+						t.Fatalf("counter = %d, want %d", total, ops)
+					}
+					msgs := mt.TNet.PerOp[msc.OpAtomic] + mt.TNet.PerOp[msc.OpAtomicReply]
+					combined := mt.Totals().AtomicsCombined
+					if msgs != 2*(ops-combined) {
+						t.Errorf("%d atomic messages with %d of %d ops combined, want 2·(ops − combined) = %d",
+							msgs, combined, ops, 2*(ops-combined))
+					}
+					if combining && combined == 0 {
+						t.Error("no request combined on a hot counter")
+					}
+					if !combining && combined != 0 {
+						t.Errorf("%d requests combined with combining off", combined)
+					}
+					if combining && side == 8 && msgs >= ops {
+						t.Errorf("64 cells: %d atomic messages for %d ops, want under one per op", msgs, ops)
+					}
+				})
+			}
 		}
 	}
 }

@@ -124,40 +124,24 @@ func bpropRun(t *testing.T, variant string, mode int, ops [][]bpropOp, flagsInto
 	case "sanitize":
 		opts = append(opts, WithSanitize())
 	case "fault":
-		plan, err := ParseFaultPlan("drop=0.04,dup=0.03,seed=11")
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts = append(opts, WithFault(plan))
+		opts = append(opts, WithFault(mustPlan(t, "drop=0.04,dup=0.03,seed=11")))
 	}
 	m, err := New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outS := make([]*Segment, bpropCells)
-	outD := make([][]float64, bpropCells)
-	inS := make([]*Segment, bpropCells)
-	inD := make([][]float64, bpropCells)
-	ginS := make([]*Segment, bpropCells)
-	ginD := make([][]float64, bpropCells)
+	outS, outD := allocEach(t, m, "out", bpropOutN)
+	inS, inD := allocEach(t, m, "in", bpropCells*bpropRegion)
+	ginS, ginD := allocEach(t, m, "gin", bpropCells*bpropRegion)
 	recvFlags := make([]FlagID, bpropCells)
 	getFlags := make([]FlagID, bpropCells)
 	for id := 0; id < bpropCells; id++ {
 		c := m.Cell(CellID(id))
-		if outS[id], outD[id], err = c.AllocFloat64("out", bpropOutN); err != nil {
-			t.Fatal(err)
-		}
-		if inS[id], inD[id], err = c.AllocFloat64("in", bpropCells*bpropRegion); err != nil {
-			t.Fatal(err)
-		}
-		if ginS[id], ginD[id], err = c.AllocFloat64("gin", bpropCells*bpropRegion); err != nil {
-			t.Fatal(err)
-		}
 		recvFlags[id] = c.Flags.Alloc()
 		getFlags[id] = c.Flags.Alloc()
 	}
 
-	err = m.Run(func(c *Cell) error {
+	mustRun(t, m, func(c *Cell) error {
 		id := int(c.ID())
 		comm := NewComm(c)
 		for j := range outD[id] {
@@ -240,15 +224,6 @@ func bpropRun(t *testing.T, variant string, mode int, ops [][]bpropOp, flagsInto
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SanitizeErr(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FaultErr(); err != nil {
-		t.Fatal(err)
-	}
 
 	snap := bpropSnapshot{
 		In:        make([][]float64, bpropCells),
@@ -306,6 +281,138 @@ func TestBatchMatchesSingleIssue(t *testing.T) {
 			}
 			t.Logf("%s: commands single=%d (PUT %d, PUTS %d, ackGET %d) coalesced=%d (PUT %d, PUTS %d, ackGET %d)",
 				variant, singleCmds, ts.Put, ts.PutS, ts.AckGet, coalCmds, tc.Put, tc.PutS, tc.AckGet)
+		})
+	}
+}
+
+// coalesceSkeleton builds a communication skeleton's buffers on m and
+// returns its per-step body; batched selects one coalescing
+// CommandList per step over one doorbell per transfer.
+type coalesceSkeleton func(t *testing.T, m *Machine) func(rt *Runtime, step int, batched bool) error
+
+// coalesceCounts runs steps of sk on an observed 4x4 machine and
+// returns the commands the MSC+ saw and the T-net messages carried.
+func coalesceCounts(t *testing.T, sk coalesceSkeleton, steps int, batched bool) (cmds, msgs int64) {
+	t.Helper()
+	m, err := New(WithGrid(4, 4), WithMemoryPerCell(1<<22), WithObserve())
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := sk(t, m)
+	rts := newRuntimes(t, m)
+	for _, rt := range rts {
+		rt.SetBatching(batched)
+	}
+	mustRun(t, m, func(c *Cell) error {
+		for s := 0; s < steps; s++ {
+			if err := step(rts[c.ID()], s, batched); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	mt := m.Metrics()
+	tot := mt.Totals()
+	return tot.Put + tot.PutS + tot.Get + tot.GetS + tot.AckGet, mt.TNet.Messages
+}
+
+// putRows issues ts singly or on one coalescing CommandList, then
+// waits for their acknowledgements and a hardware barrier.
+func putRows(rt *Runtime, batched bool, ts []Transfer) error {
+	if batched {
+		b := rt.Comm.Batch().Coalesce()
+		for _, tr := range ts {
+			b.Put(tr)
+		}
+		if err := b.Commit(); err != nil {
+			return err
+		}
+	} else {
+		for _, tr := range ts {
+			if err := rt.Comm.Put(tr); err != nil {
+				return err
+			}
+		}
+	}
+	rt.Comm.AckWait()
+	rt.Barrier()
+	return nil
+}
+
+// TestCoalesceCommandCounts pins the command stream of three skeletons
+// on a q x q machine, in single and coalesced issue, as closed forms in
+// the steps S, the cells P and the rows per cell R = ceil(edge/P). An
+// acknowledged transfer costs two commands (PUT, ack GET) and three
+// T-net messages (PUT, GET request, reply); coalescing folds the
+// transfers of one step to one destination into one stride PUT and
+// one ack. The skeletons: the Block2D halo exchange (w overlap rows or
+// columns over each of the L directed links of the non-periodic
+// process grid, plus two group tree barriers per step whose 2(q-1)
+// remote token stores per group add 2·S·L messages), a row-block to
+// column-block redistribution (R rows to each of the P-1 others) and
+// the row-sliced ring matmul forward (R rows to the successor).
+func TestCoalesceCommandCounts(t *testing.T) {
+	const (
+		q, S, edge = 4, 3, 48
+		P          = q * q
+		R          = (edge + P - 1) / P
+		w          = 2
+		L          = 4 * q * (q - 1)
+	)
+	for _, tc := range []struct {
+		name            string
+		sk              coalesceSkeleton
+		single, batched int64 // commands
+		barrierMsgs     int64
+	}{
+		{"stencil", func(t *testing.T, m *Machine) func(*Runtime, int, bool) error {
+			a, err := NewBlock2D(m, "st.u", edge, edge, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(rt *Runtime, _ int, _ bool) error { return rt.OverlapFixBlock2D(a) }
+		}, 2 * S * L * w, 2 * S * L, 2 * S * L},
+		{"redistribute", func(t *testing.T, m *Machine) func(*Runtime, int, bool) error {
+			rows, _ := allocEach(t, m, "rd.rows", R*edge)
+			cols, _ := allocEach(t, m, "rd.cols", edge*R)
+			return func(rt *Runtime, _ int, batched bool) error {
+				r := rt.Rank()
+				var ts []Transfer
+				for d := 0; d < P; d++ {
+					// Row i's segment [d*R, (d+1)*R) lands at row
+					// r*R+i of d's edge x R column slab.
+					for i := 0; i < R && d != r; i++ {
+						ts = append(ts, Transfer{To: CellID(d), Size: R * 8, Ack: true,
+							Remote: cols[d].Base() + Addr((r*R+i)*R*8), Local: rows[r].Base() + Addr((i*edge+d*R)*8)})
+					}
+				}
+				return putRows(rt, batched, ts)
+			}
+		}, 2 * S * P * (P - 1) * R, 2 * S * P * (P - 1), 0},
+		{"matmul", func(t *testing.T, m *Machine) func(*Runtime, int, bool) error {
+			blk, _ := allocEach(t, m, "mm.blk", 2*R*edge)
+			return func(rt *Runtime, s int, batched bool) error {
+				r, next := rt.Rank(), (rt.Rank()+1)%P
+				// Double-buffer halves swap roles each step.
+				src, dst := Addr(s%2*R*edge*8), Addr((s+1)%2*R*edge*8)
+				ts := make([]Transfer, R)
+				for i := range ts {
+					row := Addr(i * edge * 8)
+					ts[i] = Transfer{To: CellID(next), Size: edge * 8, Ack: true,
+						Remote: blk[next].Base() + dst + row, Local: blk[r].Base() + src + row}
+				}
+				return putRows(rt, batched, ts)
+			}
+		}, 2 * S * P * R, 2 * S * P, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for batched, want := range map[bool]int64{false: tc.single, true: tc.batched} {
+				cmds, msgs := coalesceCounts(t, tc.sk, S, batched)
+				if cmds != want || msgs != want*3/2+tc.barrierMsgs {
+					t.Errorf("batched=%v: %d commands, %d messages; want %d, %d",
+						batched, cmds, msgs, want, want*3/2+tc.barrierMsgs)
+				}
+			}
 		})
 	}
 }

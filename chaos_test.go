@@ -27,6 +27,44 @@ type chaosKernel struct {
 // packet inline, 4 puts every packet of the 2x2 machine on a link.
 var chaosWorkers = []int{1, 4}
 
+// chaosPlans are the seeded fault plans the chaos gates run under, with
+// the injector decisions each plan must have produced.
+var chaosPlans = []struct {
+	name, spec                      string
+	drops, dups, reorders, corrupts bool
+}{
+	{"drop", "drop=0.08,seed=42", true, false, false, false},
+	{"dup", "dup=0.1,seed=7", false, true, false, false},
+	{"drop+dup", "drop=0.05,dup=0.05,seed=42", true, true, false, false},
+	{"reorder", "reorder=0.08,seed=13", false, false, true, false},
+	{"corrupt", "corrupt=0.06,seed=5", false, false, false, true},
+	{"storm", "drop=0.05,dup=0.05,reorder=0.04,corrupt=0.03,seed=99", true, true, true, true},
+}
+
+// mustPlan parses a fault plan spec; the empty spec is no plan.
+func mustPlan(t *testing.T, spec string) *FaultPlan {
+	t.Helper()
+	if spec == "" {
+		return nil
+	}
+	plan, err := ParseFaultPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// mustRun runs program on m and fails t if the run, the reliable
+// delivery layer or the sanitizer reports an error.
+func mustRun(t *testing.T, m *Machine, program func(c *Cell) error) {
+	t.Helper()
+	for _, err := range []error{m.Run(program), m.FaultErr(), m.SanitizeErr()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func chaosMachine(t *testing.T, plan *FaultPlan, workers int) *Machine {
 	t.Helper()
 	opts := []Option{WithGrid(2, 2), WithObserve(), WithDeliveryWorkers(workers)}
@@ -40,6 +78,32 @@ func chaosMachine(t *testing.T, plan *FaultPlan, workers int) *Machine {
 	return m
 }
 
+// allocEach allocates n float64s named name on every cell of m.
+func allocEach(t *testing.T, m *Machine, name string, n int) ([]*Segment, [][]float64) {
+	t.Helper()
+	segs, data := make([]*Segment, m.Cells()), make([][]float64, m.Cells())
+	for id := range segs {
+		var err error
+		if segs[id], data[id], err = m.Cell(CellID(id)).AllocFloat64(name, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return segs, data
+}
+
+// newRuntimes builds the vpp runtime of every cell of m.
+func newRuntimes(t *testing.T, m *Machine) []*Runtime {
+	t.Helper()
+	rts := make([]*Runtime, m.Cells())
+	for id := range rts {
+		var err error
+		if rts[id], err = NewRuntime(m.Cell(CellID(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rts
+}
+
 // chaosMatMul is the ring matmul of examples/matmul at a test size,
 // rotating the blocks with one PUT per row (rather than one bulk PUT)
 // so the wire sees enough packets for every plan's faults to fire.
@@ -50,27 +114,15 @@ func chaosMatMul(t *testing.T, plan *FaultPlan, workers int) ([]float64, Metrics
 	np := m.Cells()
 	block := n / np
 
-	alloc := func(name string) ([]*Segment, [][]float64) {
-		segs := make([]*Segment, np)
-		data := make([][]float64, np)
-		for id := 0; id < np; id++ {
-			var err error
-			segs[id], data[id], err = m.Cell(CellID(id)).AllocFloat64(name, block*n)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return segs, data
-	}
-	_, aD := alloc("A")
-	b0S, b0D := alloc("B0")
-	b1S, b1D := alloc("B1")
-	_, cD := alloc("C")
+	_, aD := allocEach(t, m, "A", block*n)
+	b0S, b0D := allocEach(t, m, "B0", block*n)
+	b1S, b1D := allocEach(t, m, "B1", block*n)
+	_, cD := allocEach(t, m, "C", block*n)
 
 	aElem := func(i, j int) float64 { return math.Sin(float64(i+j) * 0.1) }
 	bElem := func(i, j int) float64 { return math.Cos(float64(i*2+j) * 0.05) }
 
-	err := m.Run(func(c *Cell) error {
+	mustRun(t, m, func(c *Cell) error {
 		comm := NewComm(c)
 		r := int(c.ID())
 		lo, hi := r*n/np, (r+1)*n/np
@@ -121,9 +173,6 @@ func chaosMatMul(t *testing.T, plan *FaultPlan, workers int) ([]float64, Metrics
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []float64
 	for r := 0; r < np; r++ {
 		out = append(out, cD[r]...)
@@ -148,15 +197,10 @@ func chaosStencil(t *testing.T, plan *FaultPlan, workers int) ([]float64, Metric
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts := make([]*Runtime, m.Cells())
-	for id := 0; id < m.Cells(); id++ {
-		if rts[id], err = NewRuntime(m.Cell(CellID(id))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rts := newRuntimes(t, m)
 	sums := make([]float64, m.Cells())
 
-	err = m.Run(func(c *Cell) error {
+	mustRun(t, m, func(c *Cell) error {
 		rt := rts[c.ID()]
 		r := rt.Rank()
 		lo, hi := grid.OwnedCols(r)
@@ -201,9 +245,6 @@ func chaosStencil(t *testing.T, plan *FaultPlan, workers int) ([]float64, Metric
 		sums[r] = rt.GlobalSum(local)
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []float64
 	for id := 0; id < m.Cells(); id++ {
 		out = append(out, grid.Local(id)...)
@@ -231,14 +272,9 @@ func chaosRedistribute(t *testing.T, plan *FaultPlan, workers int) ([]float64, M
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts := make([]*Runtime, m.Cells())
-	for id := 0; id < m.Cells(); id++ {
-		if rts[id], err = NewRuntime(m.Cell(CellID(id))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rts := newRuntimes(t, m)
 
-	err = m.Run(func(c *Cell) error {
+	mustRun(t, m, func(c *Cell) error {
 		rt := rts[c.ID()]
 		r := rt.Rank()
 		lo, _ := blk.OwnedRange(r)
@@ -260,9 +296,6 @@ func chaosRedistribute(t *testing.T, plan *FaultPlan, workers int) ([]float64, M
 		mv.Wait()
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []float64
 	for id := 0; id < m.Cells(); id++ {
 		out = append(out, cyc.Local(id)...)
@@ -284,18 +317,6 @@ func flagCounts(mt Metrics) []int64 {
 // match exactly, and the fault counters must show the plan actually
 // fired and was recovered from.
 func TestChaosKernels(t *testing.T) {
-	plans := []struct {
-		name, spec string
-		// which injector decisions the seeded plan must have produced
-		drops, dups, reorders, corrupts bool
-	}{
-		{"drop", "drop=0.08,seed=42", true, false, false, false},
-		{"dup", "dup=0.1,seed=7", false, true, false, false},
-		{"drop+dup", "drop=0.05,dup=0.05,seed=42", true, true, false, false},
-		{"reorder", "reorder=0.08,seed=13", false, false, true, false},
-		{"corrupt", "corrupt=0.06,seed=5", false, false, false, true},
-		{"storm", "drop=0.05,dup=0.05,reorder=0.04,corrupt=0.03,seed=99", true, true, true, true},
-	}
 	kernels := []chaosKernel{
 		{"matmul", chaosMatMul},
 		{"stencil", chaosStencil},
@@ -308,12 +329,9 @@ func TestChaosKernels(t *testing.T) {
 				t.Fatal("fault metrics reported on a fault-free machine")
 			}
 			baseFlags := flagCounts(baseM)
-			for _, p := range plans {
+			for _, p := range chaosPlans {
 				t.Run(p.name, func(t *testing.T) {
-					plan, err := ParseFaultPlan(p.spec)
-					if err != nil {
-						t.Fatal(err)
-					}
+					plan := mustPlan(t, p.spec)
 					for _, workers := range chaosWorkers {
 						got, mt := k.run(t, plan, workers)
 						if len(got) != len(base) {
@@ -365,20 +383,11 @@ func TestChaosKernels(t *testing.T) {
 // cell-fault interrupt — graceful degradation, not deadlock. The
 // program must not wait on the flag of the doomed transfer.
 func TestChaosBudgetExhaustion(t *testing.T) {
-	plan, err := ParseFaultPlan("link:0:1:drop=1,budget=4,seed=3")
+	m, err := New(WithGrid(2, 2), WithFault(mustPlan(t, "link:0:1:drop=1,budget=4,seed=3")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(WithGrid(2, 2), WithFault(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := make([]*Segment, m.Cells())
-	for id := 0; id < m.Cells(); id++ {
-		if segs[id], _, err = m.Cell(CellID(id)).AllocFloat64("buf", 8); err != nil {
-			t.Fatal(err)
-		}
-	}
+	segs, _ := allocEach(t, m, "buf", 8)
 	err = m.Run(func(c *Cell) error {
 		if c.ID() != 0 {
 			return nil

@@ -2,7 +2,8 @@
 // evaluation (S5): Table 1 (specifications), Figure 6 (parameter
 // files), Figure 7 (the PUT communication model), Table 2 (speedups
 // vs the AP1000), Table 3 (application statistics) and Figure 8 (the
-// execution-time breakdown), plus the S5.4 stride ablation.
+// execution-time breakdown), plus the S5.4 stride ablation and a T-net
+// link-contention analysis.
 //
 // Usage:
 //
@@ -14,17 +15,12 @@
 // -metrics prints each application's machine counter report; -metrics-json
 // writes them as JSON (for make bench / BENCH_obs.json). -timeline
 // writes a merged Chrome trace-event file loadable at ui.perfetto.dev.
+// These three and -app need an experiment that runs the applications:
+// specs, params and fig7 reject them.
 //
-// Six experiments report rows instead of paper tables, and -json PATH
-// writes the selected one's rows (make bench / BENCH_<experiment>.json):
-// batch (single vs batched command issue on stencil, redistribute and
-// matmul), dsmcache (the coherent DSM page cache vs plain blocking
-// remote loads on the gather kernel), atomics (a hot remote fetch-and-add
-// counter with T-net combining off and on), pgas (the bale histogram
-// and index-gather kernels, naive vs aggregated issue), scale (the
-// neighbor-PUT ring weak-scaled from 64 to 4096 cells) and tenancy (an
-// open-loop Poisson stream of tenant jobs gang-scheduled onto
-// partitions: per-tenant p50/p99 sojourn latency and jobs/sec).
+// apbench reports simulated time and counts. Host wall-clock time is
+// measured by the bench module (go run -C bench .), which repeats each
+// workload and stamps every row with its environment.
 package main
 
 import (
@@ -44,25 +40,36 @@ import (
 	"ap1000plus/internal/stats"
 )
 
+// options is what one apbench invocation produces and where.
+type options struct {
+	experiment  string
+	quick       bool
+	size        int64 // fig7 message size
+	distance    int   // fig7 routing distance
+	app         string
+	metrics     bool
+	metricsJSON string
+	timeline    string
+}
+
 func main() {
-	experiment := flag.String("experiment", "all",
-		"specs|params|fig7|table2|table3|fig8|stride|contention|batch|dsmcache|atomics|pgas|scale|tenancy|all")
-	quick := flag.Bool("quick", false, "use reduced problem sizes")
-	size := flag.Int64("size", 1024, "message size for fig7")
-	distance := flag.Int("distance", 3, "routing distance for fig7")
-	only := flag.String("app", "", "restrict table2/table3/fig8 to one application (e.g. CG)")
+	var o options
+	flag.StringVar(&o.experiment, "experiment", "all",
+		"specs|params|fig7|table2|table3|fig8|stride|contention|all")
+	flag.BoolVar(&o.quick, "quick", false, "use reduced problem sizes")
+	flag.Int64Var(&o.size, "size", 1024, "message size for fig7")
+	flag.IntVar(&o.distance, "distance", 3, "routing distance for fig7")
+	flag.StringVar(&o.app, "app", "", "restrict table2/table3/fig8/stride/contention to one application (e.g. CG)")
 	sanitize := flag.Bool("sanitize", false, "run every application under the apsan race detector")
 	faultSpec := flag.String("fault", "", "fault plan spec (e.g. drop=0.05,dup=0.02,seed=42): run every application over a lossy wire with reliable delivery")
 	faultSeed := flag.Int64("fault-seed", 0, "override the fault plan's seed")
-	metrics := flag.Bool("metrics", false, "print each application's machine counter report")
-	metricsJSON := flag.String("metrics-json", "", "write per-application metrics as JSON to this file")
-	timeline := flag.String("timeline", "", "write a merged Perfetto timeline of the functional runs to this file")
-	jsonPath := flag.String("json", "", "write the selected experiment's rows as JSON to this file (batch|dsmcache|atomics|pgas|scale|tenancy)")
+	flag.BoolVar(&o.metrics, "metrics", false, "print each application's machine counter report")
+	flag.StringVar(&o.metricsJSON, "metrics-json", "", "write per-application metrics as JSON to this file")
+	flag.StringVar(&o.timeline, "timeline", "", "write a merged Perfetto timeline of the functional runs to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 	apps.Sanitize = *sanitize
-	apps.Observe = *metrics || *metricsJSON != ""
 	seedSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "fault-seed" {
@@ -81,20 +88,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "apbench:", err)
 		os.Exit(1)
 	}
-
-	var parts []obs.Part
-	if *timeline != "" {
-		apps.TimelineFor = func(name string) *obs.Timeline {
-			tl := obs.NewTimeline()
-			parts = append(parts, obs.Part{Label: name, TL: tl})
-			return tl
-		}
-	}
-
-	err = run(*experiment, *quick, *size, *distance, *only, *metrics, *metricsJSON, *jsonPath)
-	if err == nil && *timeline != "" {
-		err = writeTimeline(*timeline, parts)
-	}
+	err = run(o)
 	if perr := stopProf(); err == nil {
 		err = perr
 	}
@@ -125,50 +119,13 @@ func faultPlanFromFlags(spec string, seed int64, seedSet bool) (*fault.Plan, err
 	return plan, nil
 }
 
-// writeTimeline writes all collected per-app timelines as one merged
-// Perfetto file.
-func writeTimeline(path string, parts []obs.Part) error {
+// writeFile creates path, fills it with write and says so on stderr.
+func writeFile(path, what string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteMergedJSON(f, parts); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote timeline %s (%d parts); load at ui.perfetto.dev\n", path, len(parts))
-	return nil
-}
-
-func hottestCount(r *mlsim.ContentionReport) int64 {
-	if len(r.Hottest) == 0 {
-		return 0
-	}
-	return r.Hottest[0].Messages
-}
-
-// appMetrics is one entry of the -metrics-json output.
-type appMetrics struct {
-	App     string
-	Metrics *machine.Metrics
-}
-
-// writeJSON writes v, indented, to path and says so on stderr; an
-// empty path writes nothing.
-func writeJSON(path, what string, v any) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -179,27 +136,64 @@ func writeJSON(path, what string, v any) error {
 	return nil
 }
 
-func run(experiment string, quick bool, size int64, distance int, only string, metrics bool, metricsJSON, jsonPath string) error {
-	rowReports := map[string]func(io.Writer, bool, string) error{
-		"batch": runBatch, "dsmcache": runDSMCache, "atomics": runAtomics,
-		"pgas": runPGAS, "scale": runScale, "tenancy": runTenancy,
+// writeMetricsJSON writes each application's counter report, indented.
+func writeMetricsJSON(w io.Writer, exps []*stats.Experiment) error {
+	type appMetrics struct {
+		App     string
+		Metrics *machine.Metrics
 	}
-	if report := rowReports[experiment]; report != nil {
-		return report(os.Stdout, quick, jsonPath)
+	var out []appMetrics
+	for _, e := range exps {
+		if e.Metrics != nil {
+			out = append(out, appMetrics{App: e.App, Metrics: e.Metrics})
+		}
 	}
-	if jsonPath != "" {
-		return fmt.Errorf("-json: experiment %q reports no rows (see -help)", experiment)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
+
+func hottestCount(r *mlsim.ContentionReport) int64 {
+	if len(r.Hottest) == 0 {
+		return 0
 	}
-	needApps := false
-	switch experiment {
+	return r.Hottest[0].Messages
+}
+
+func run(o options) error {
+	needApps := true
+	switch o.experiment {
+	case "specs", "params", "fig7":
+		needApps = false
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"-app", o.app != ""}, {"-metrics", o.metrics}, {"-metrics-json", o.metricsJSON != ""}, {"-timeline", o.timeline != ""}} {
+			if f.set {
+				return fmt.Errorf("%s: experiment %q runs no application", f.name, o.experiment)
+			}
+		}
 	case "table2", "table3", "fig8", "stride", "contention", "all":
-		needApps = true
+	default:
+		return fmt.Errorf("unknown experiment %q", o.experiment)
+	}
+
+	obsWas, tlWas := apps.Observe, apps.TimelineFor
+	defer func() { apps.Observe, apps.TimelineFor = obsWas, tlWas }()
+	apps.Observe = o.metrics || o.metricsJSON != ""
+	var parts []obs.Part
+	if o.timeline != "" {
+		apps.TimelineFor = func(name string) *obs.Timeline {
+			tl := obs.NewTimeline()
+			parts = append(parts, obs.Part{Label: name, TL: tl})
+			return tl
+		}
 	}
 
 	var exps []*stats.Experiment
 	if needApps {
 		catalog := stats.TestCatalog()
-		if !quick {
+		if !o.quick {
 			catalog = catalog[:0]
 			for _, row := range apps.Catalog() {
 				catalog = append(catalog, struct {
@@ -209,7 +203,7 @@ func run(experiment string, quick bool, size int64, distance int, only string, m
 			}
 		}
 		for _, row := range catalog {
-			if only != "" && !strings.EqualFold(row.Name, only) {
+			if o.app != "" && !strings.EqualFold(row.Name, o.app) {
 				continue
 			}
 			fmt.Fprintf(os.Stderr, "running %s...\n", row.Name)
@@ -219,10 +213,13 @@ func run(experiment string, quick bool, size int64, distance int, only string, m
 			}
 			exps = append(exps, e)
 		}
+		if len(exps) == 0 {
+			return fmt.Errorf("-app %q matches no application", o.app)
+		}
 	}
 
 	w := os.Stdout
-	show := func(name string) bool { return experiment == name || experiment == "all" }
+	show := func(name string) bool { return o.experiment == name || o.experiment == "all" }
 
 	if show("specs") {
 		s := machine.Table1()
@@ -252,7 +249,7 @@ func run(experiment string, quick bool, size int64, distance int, only string, m
 	if show("fig7") {
 		fmt.Fprintln(w, "Figure 7: PUT communication model")
 		for _, p := range []*params.Params{params.AP1000(), params.AP1000Plus()} {
-			if err := mlsim.WriteTimeline(w, p, size, distance); err != nil {
+			if err := mlsim.WriteTimeline(w, p, o.size, o.distance); err != nil {
 				return err
 			}
 			fmt.Fprintln(w)
@@ -293,6 +290,8 @@ func run(experiment string, quick bool, size int64, distance int, only string, m
 			fmt.Fprintf(w, "  stride is %.0f%% faster (paper: ~50%%)\n",
 				100*(float64(nost.Plus.Elapsed)/float64(st.Plus.Elapsed)-1))
 			fmt.Fprintln(w)
+		} else if o.experiment == "stride" {
+			return fmt.Errorf("stride: -app %q leaves no TOMCATV pair (TC st and TC no st) to compare", o.app)
 		}
 	}
 	if show("contention") {
@@ -311,27 +310,22 @@ func run(experiment string, quick bool, size int64, distance int, only string, m
 		}
 		fmt.Fprintln(w)
 	}
-	if metrics && len(exps) > 0 {
+	if o.metrics {
 		fmt.Fprintln(w, "Machine counter reports (functional runs):")
 		if err := stats.WriteMetrics(w, exps); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)
 	}
-	if metricsJSON != "" {
-		var out []appMetrics
-		for _, e := range exps {
-			if e.Metrics != nil {
-				out = append(out, appMetrics{App: e.App, Metrics: e.Metrics})
-			}
-		}
-		if err := writeJSON(metricsJSON, "metrics", out); err != nil {
+	if o.metricsJSON != "" {
+		if err := writeFile(o.metricsJSON, "metrics", func(w io.Writer) error { return writeMetricsJSON(w, exps) }); err != nil {
 			return err
 		}
 	}
-	switch experiment {
-	case "specs", "params", "fig7", "table2", "table3", "fig8", "stride", "contention", "all":
-		return nil
+	if o.timeline != "" {
+		return writeFile(o.timeline, "timeline (load at ui.perfetto.dev)", func(w io.Writer) error {
+			return obs.WriteMergedJSON(w, parts)
+		})
 	}
-	return fmt.Errorf("unknown experiment %q", experiment)
+	return nil
 }

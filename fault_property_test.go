@@ -66,25 +66,13 @@ func propRun(t *testing.T, plan *FaultPlan, workers int, ops [][]propOp, putsInt
 		t.Fatal(err)
 	}
 	cells := m.Cells()
-	outS := make([]*Segment, cells)
-	outD := make([][]float64, cells)
-	inS := make([]*Segment, cells)
-	inD := make([][]float64, cells)
-	ginS := make([]*Segment, cells)
-	ginD := make([][]float64, cells)
+	outS, outD := allocEach(t, m, "out", propOutN)
+	inS, inD := allocEach(t, m, "in", cells*propPerCell)
+	ginS, ginD := allocEach(t, m, "gin", cells*propPerCell)
 	recvFlags := make([]FlagID, cells)
 	getFlags := make([]FlagID, cells)
 	for id := 0; id < cells; id++ {
 		c := m.Cell(CellID(id))
-		if outS[id], outD[id], err = c.AllocFloat64("out", propOutN); err != nil {
-			t.Fatal(err)
-		}
-		if inS[id], inD[id], err = c.AllocFloat64("in", cells*propPerCell); err != nil {
-			t.Fatal(err)
-		}
-		if ginS[id], ginD[id], err = c.AllocFloat64("gin", cells*propPerCell); err != nil {
-			t.Fatal(err)
-		}
 		recvFlags[id] = c.Flags.Alloc()
 		getFlags[id] = c.Flags.Alloc()
 	}
@@ -193,10 +181,7 @@ func TestFaultPropertyRandomWorkloads(t *testing.T) {
 			spec := fmt.Sprintf("drop=%.2f,dup=%.2f,reorder=%.2f,corrupt=%.2f,seed=%d",
 				rng.Float64()*0.12, rng.Float64()*0.10, rng.Float64()*0.06, rng.Float64()*0.05,
 				rng.Int63n(1<<30)+1)
-			plan, err := ParseFaultPlan(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plan := mustPlan(t, spec)
 			ops, putsInto, getsBy := propWorkload(rng, 4)
 
 			for _, workers := range chaosWorkers {

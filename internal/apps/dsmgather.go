@@ -55,7 +55,7 @@ func gatherElem(o, i int) float64 {
 
 // NewDSMGather builds a DSM gather instance. It is not part of the
 // paper's Table 2/3 catalog; it exists to drive the DSM page cache
-// (apbench -experiment dsmcache runs it cached and uncached).
+// (TestDSMGatherMessageCounts pins its traffic cached and uncached).
 func NewDSMGather(cfg DSMGatherConfig) (*Instance, error) {
 	if cfg.Cells < 2 {
 		return nil, fmt.Errorf("apps: DSMGather: need at least 2 cells, have %d", cfg.Cells)

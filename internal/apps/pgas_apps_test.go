@@ -69,3 +69,50 @@ func TestPGASKernels(t *testing.T) {
 		})
 	}
 }
+
+// TestPGASMessageCounts pins what aggregation does to the wire on the
+// histogram and index-gather kernels at 16 cells. Naive issue is one
+// request and one reply per histogram update. Aggregated issue packs
+// operations into per-destination regions, so its message count is
+// set by the exchange rounds, not the operations: the same at 128 and
+// 512 ops per cell, and at least 5x fewer per op than naive.
+func TestPGASMessageCounts(t *testing.T) {
+	obsWas := Observe
+	Observe = true
+	defer func() { Observe = obsWas }()
+	const cells = 16
+	messages := func(kernel string, mode PGASMode, ops int) int64 {
+		t.Helper()
+		var in *Instance
+		var err error
+		if kernel == "histogram" {
+			in, err = NewPGASHisto(PGASHistoConfig{Cells: cells, Table: cells * 61, OpsPerCell: ops, Mode: mode, Seed: 42})
+		} else {
+			in, err = NewPGASIG(PGASIGConfig{Cells: cells, Table: cells * 61, OpsPerCell: ops, Mode: mode, Seed: 7})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return in.Machine.Metrics().TNet.Messages
+	}
+	for _, k := range []struct {
+		kernel string
+		agg    int64
+	}{{"histogram", 300}, {"indexgather", 600}} {
+		naive := messages(k.kernel, PGASNaive, 128)
+		if k.kernel == "histogram" && naive != 2*cells*128 {
+			t.Errorf("naive histogram: %d messages, want 2·ops = %d", naive, 2*cells*128)
+		}
+		for _, ops := range []int{128, 512} {
+			if got := messages(k.kernel, PGASAggregated, ops); got != k.agg {
+				t.Errorf("aggregated %s at %d ops/cell: %d messages, want %d", k.kernel, ops, got, k.agg)
+			}
+		}
+		if naive < 5*k.agg {
+			t.Errorf("%s: naive %d vs aggregated %d messages, want at least 5x fewer", k.kernel, naive, k.agg)
+		}
+	}
+}

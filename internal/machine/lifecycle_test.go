@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"ap1000plus/internal/fault"
 	"ap1000plus/internal/mc"
 	"ap1000plus/internal/mem"
 	"ap1000plus/internal/msc"
@@ -163,12 +162,8 @@ func TestSequentialRunBitIdentical(t *testing.T) {
 // index), and job reset restarts every stream, so a reused machine
 // replays exactly the fate sequence a fresh machine sees.
 func TestSequentialRunBitIdenticalUnderFault(t *testing.T) {
-	plan, err := fault.Parse("drop=0.05,dup=0.03,seed=11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Fault: plan}
-	m := newMachine(t, cfg)
+	plan := mustPlan(t, "drop=0.05,dup=0.03,seed=11")
+	m := newMachine(t, Config{Fault: plan})
 	rs := allocRingSegs(t, m)
 	seq1D, seq1I := runRingJob(t, m, rs, 3)
 	seq2D, seq2I := runRingJob(t, m, rs, 5)

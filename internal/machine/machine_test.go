@@ -583,49 +583,3 @@ func TestCacheInvalidationAccounting(t *testing.T) {
 		t.Errorf("sender invalidations = %d, want 0", got)
 	}
 }
-
-// TestFullScaleMachine exercises the maximum configuration: 1024
-// cells (32x32), the AP1000+'s upper limit, with a neighbour PUT and
-// an S-net barrier per cell.
-func TestFullScaleMachine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1024-cell machine in short mode")
-	}
-	m, err := New(Config{Width: 32, Height: 32, MemoryPerCell: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := make([]*mem.Segment, m.Cells())
-	flags := make([]mc.FlagID, m.Cells())
-	for id := 0; id < m.Cells(); id++ {
-		segs[id], _, _ = m.Cell(topology.CellID(id)).AllocFloat64("b", 8)
-		flags[id] = m.Cell(topology.CellID(id)).Flags.Alloc()
-	}
-	err = m.Run(func(c *Cell) error {
-		me := int(c.ID())
-		next := (me + 1) % m.Cells()
-		seg := segs[me]
-		seg.Float64Data()[0] = float64(me)
-		c.PushUser(msc.Command{
-			Op: msc.OpPut, Dst: topology.CellID(next),
-			RAddr: segs[next].Base() + 8, LAddr: seg.Base(),
-			RStride: mem.Contiguous(8), LStride: mem.Contiguous(8),
-			RecvFlag: flags[next],
-		})
-		c.Flags.Wait(flags[me], 1)
-		if got := seg.Float64Data()[1]; got != float64((me-1+m.Cells())%m.Cells()) {
-			t.Errorf("cell %d received %v", me, got)
-		}
-		c.HWBarrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TNetStats().Messages != 1024 {
-		t.Errorf("messages = %d", m.TNetStats().Messages)
-	}
-	if m.Barriers() != 1 {
-		t.Errorf("barriers = %d", m.Barriers())
-	}
-}

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"ap1000plus/internal/core"
 	"ap1000plus/internal/machine"
+	"ap1000plus/internal/mem"
+	"ap1000plus/internal/topology"
 )
 
 func newSched(t *testing.T, cfg machine.Config) *Scheduler {
@@ -212,5 +215,63 @@ func TestLoadGenRun(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadGenRingPuts replays an open-loop stream of ring-PUT jobs onto a
+// 16-cell machine split into k partitions. Every job runs on a whole
+// partition of 16/k cells, each cell PUTs four times to its ring
+// successor inside the partition and waits on a recv flag allocated
+// per job, so the PUTs issued over all partitions add up to exactly
+// jobs·(16/k)·4.
+func TestLoadGenRingPuts(t *testing.T) {
+	const cells, jobs, puts, payload = 16, 24, 4, 256
+	for _, k := range []int{2, 4} {
+		s := newSched(t, machine.Config{Width: 4, Height: 4, Partitions: k, Observe: true})
+		m := s.Machine()
+		// Each cell PUTs from the first half of its buffer into the
+		// second half of its successor's.
+		buf := make([]mem.Addr, cells)
+		for id := range buf {
+			seg, _, err := m.Cell(topology.CellID(id)).AllocBytes("job-buf", 2*payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf[id] = seg.Base()
+		}
+		program := func(rank, size int, c *machine.Cell) error {
+			comm := core.New(c)
+			right := m.Partition(m.PartitionOf(c.ID())).Group().RingNext(c.ID())
+			recvFlag := c.Flags.Alloc()
+			for i := 0; i < puts; i++ {
+				if err := comm.Put(core.Transfer{To: right, Remote: buf[right] + payload, Local: buf[c.ID()],
+					Size: payload, RecvFlag: recvFlag}); err != nil {
+					return err
+				}
+			}
+			c.Flags.Wait(recvFlag, puts)
+			return nil
+		}
+		start := time.Now()
+		res := LoadGen{Jobs: jobs, Rate: 4000, Seed: 7}.Run(s, func(i int) Job { return Job{Program: program} })
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != jobs {
+			t.Fatalf("k=%d: results = %d, want %d", k, len(res), jobs)
+		}
+		for i, r := range res {
+			if r.Err != nil || r.Done.Before(start) {
+				t.Errorf("k=%d job %d: err=%v done=%v, stream started %v", k, i, r.Err, r.Done, start)
+			}
+		}
+		var issued int64
+		for p := 0; p < k; p++ {
+			mt := m.PartitionMetrics(p)
+			issued += mt.Totals().Put
+		}
+		if want := int64(jobs * cells / k * puts); issued != want {
+			t.Errorf("k=%d: %d PUTs issued over all partitions, want jobs·(16/k)·4 = %d", k, issued, want)
+		}
 	}
 }

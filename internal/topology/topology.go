@@ -26,7 +26,8 @@ type Torus struct {
 // MaxCells is the largest simulated configuration. The shipped
 // AP1000+ topped out at 1024 cells; the simulator admits 4x that so
 // weak-scaling runs can explore where in-network combining and
-// aggregation pay off (see apbench -experiment scale).
+// aggregation pay off (TestNeighborRingAtScale in internal/machine
+// runs a 4096-cell machine).
 const MaxCells = 4096
 
 // NewTorus builds a torus with the given dimensions. Configurations

@@ -20,15 +20,9 @@ func TestCountersMatchTraceStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := make([]*Segment, 4)
-	for id := 0; id < 4; id++ {
-		segs[id], _, err = m.Cell(CellID(id)).AllocFloat64("buf", 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	segs, _ := allocEach(t, m, "buf", 64)
 	rf := m.Cell(0).Flags.Alloc()
-	err = m.Run(func(c *Cell) error {
+	mustRun(t, m, func(c *Cell) error {
 		comm := NewComm(c)
 		me := int(c.ID())
 		next := (me + 1) % 4
@@ -50,9 +44,6 @@ func TestCountersMatchTraceStats(t *testing.T) {
 		comm.Barrier()
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	ts := m.Trace()
 	if ts == nil {
@@ -103,12 +94,9 @@ func issueAllocs(t *testing.T, what string, build func(comm *Comm, segs []*Segme
 		if err != nil {
 			t.Fatal(err)
 		}
-		segs := make([]*Segment, m.Cells())
-		for id := range segs {
-			segs[id], _, _ = m.Cell(CellID(id)).AllocFloat64("b", 64)
-		}
+		segs, _ := allocEach(t, m, "b", 64)
 		var allocs float64
-		err = m.Run(func(c *Cell) error {
+		mustRun(t, m, func(c *Cell) error {
 			if c.ID() != 0 {
 				return nil
 			}
@@ -119,9 +107,6 @@ func issueAllocs(t *testing.T, what string, build func(comm *Comm, segs []*Segme
 			allocs = testing.AllocsPerRun(200, op)
 			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if allocs != 0 {
 			t.Errorf("%s allocates %.2f objects/op with Observe:false and %d delivery workers, want 0", what, allocs, workers)
 		}

@@ -9,10 +9,7 @@ import (
 // geometry, size, or option conflict must fail in New with a
 // diagnosable message — never build a half-working machine.
 func TestNewValidation(t *testing.T) {
-	plan, err := ParseFaultPlan("drop=0.01,seed=1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPlan(t, "drop=0.01,seed=1")
 	cases := []struct {
 		name    string
 		opts    []Option

@@ -2,8 +2,8 @@
 // naive and aggregated modes — run under seeded fault plans and must
 // reproduce the fault-free snapshot bit for bit, with per-cell flag
 // increments and controller atomic executions exactly equal
-// (exactly-once delivery under drops, duplicates and reorders), and
-// the fault counters showing the plan actually fired.
+// (exactly-once delivery under drops, duplicates, reorders and
+// corruption), and the fault counters showing the plan actually fired.
 package ap1000plus
 
 import (
@@ -59,16 +59,6 @@ func TestChaosPGASKernels(t *testing.T) {
 			})
 		}},
 	}
-	plans := []struct {
-		name, spec  string
-		drops, dups bool
-	}{
-		{"drop", "drop=0.08,seed=42", true, false},
-		{"dup", "dup=0.1,seed=7", false, true},
-		{"drop+dup", "drop=0.05,dup=0.05,seed=42", true, true},
-		{"reorder", "reorder=0.08,seed=13", false, false},
-		{"storm", "drop=0.05,dup=0.05,reorder=0.04,corrupt=0.03,seed=99", true, true},
-	}
 	for _, k := range kernels {
 		for _, mode := range []apps.PGASMode{apps.PGASNaive, apps.PGASAggregated} {
 			t.Run(k.name+"/"+mode.String(), func(t *testing.T) {
@@ -76,12 +66,9 @@ func TestChaosPGASKernels(t *testing.T) {
 				if baseM.Fault != nil {
 					t.Fatal("fault metrics reported on a fault-free machine")
 				}
-				for _, p := range plans {
+				for _, p := range chaosPlans {
 					t.Run(p.name, func(t *testing.T) {
-						plan, err := ParseFaultPlan(p.spec)
-						if err != nil {
-							t.Fatal(err)
-						}
+						plan := mustPlan(t, p.spec)
 						for _, workers := range chaosWorkers {
 							got, mt := runPGASChaosKernel(t, k.build, mode, plan, workers)
 							if len(got) != len(base) {

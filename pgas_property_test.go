@@ -77,14 +77,7 @@ func pgasPropStreams(seed uint64, np int, n, ctrs int64, ops int) [][]pgasPropOp
 // (which must be exactly {0..total-1}).
 func runPGASProperty(t *testing.T, cfg pgasPropCfg, seed uint64) []int64 {
 	t.Helper()
-	var plan *FaultPlan
-	if cfg.fault != "" {
-		p, err := ParseFaultPlan(cfg.fault)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan = p
-	}
+	plan := mustPlan(t, cfg.fault)
 	opts := []Option{WithGrid(3, 2), WithObserve()}
 	if cfg.sanitize {
 		opts = append(opts, WithSanitize())
@@ -150,7 +143,7 @@ func runPGASProperty(t *testing.T, cfg pgasPropCfg, seed uint64) []int64 {
 	streams := pgasPropStreams(seed, np, n, ctrs, ops)
 	gets := make([][]int64, np)
 	fetched := make([][]int64, np)
-	err = m.Run(func(c *Cell) error {
+	mustRun(t, m, func(c *Cell) error {
 		me := int(c.ID())
 		pe := pes[me]
 		// Pre-sized logs: aggregated Get/FetchAdd hold pointers into
@@ -224,15 +217,6 @@ func runPGASProperty(t *testing.T, cfg pgasPropCfg, seed uint64) []int64 {
 		gets[me], fetched[me] = gl, fl
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SanitizeErr(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FaultErr(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Fetch-and-add exactness: each counter's previous values, pooled
 	// over all ranks, must be exactly {0..total-1}. The sorted pool is

@@ -121,10 +121,7 @@ func snapshotTenant(tb *tenantBufs, m *Machine, part int) tenantSnapshot {
 
 func tenancyChaosMachine(t *testing.T, workers int) *Machine {
 	t.Helper()
-	plan, err := ParseFaultPlan("drop=0.05,dup=0.05,reorder=0.04,corrupt=0.03,seed=99")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPlan(t, "drop=0.05,dup=0.05,reorder=0.04,corrupt=0.03,seed=99")
 	m, err := New(WithCells(8), WithPartitions(2), WithObserve(), WithFault(plan), WithDeliveryWorkers(workers))
 	if err != nil {
 		t.Fatal(err)

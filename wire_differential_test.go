@@ -43,7 +43,7 @@ func wireDiffRun(t *testing.T, opts ...Option) wireDiffResult {
 		dsts[id], dstAddr[id] = data, seg.Base()
 	}
 	flag := FlagID(3)
-	err = m.Run(func(c *Cell) error {
+	mustRun(t, m, func(c *Cell) error {
 		comm := NewComm(c)
 		id := int(c.ID())
 		for r := 0; r < rounds; r++ {
@@ -77,12 +77,6 @@ func wireDiffRun(t *testing.T, opts ...Option) wireDiffResult {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FaultErr(); err != nil {
-		t.Fatal(err)
-	}
 	res := wireDiffResult{mem: make([][]byte, np), flags: make([]int64, np)}
 	for id := 0; id < np; id++ {
 		res.mem[id] = append([]byte(nil), dsts[id]...)
@@ -170,11 +164,7 @@ func TestWireDifferential(t *testing.T) {
 	} {
 		t.Run("fault "+spec, func(t *testing.T) {
 			for _, workers := range []int{1, 4, 16} {
-				plan, err := ParseFaultPlan(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(t, WithFault(plan), WithDeliveryWorkers(workers))
+				check(t, WithFault(mustPlan(t, spec)), WithDeliveryWorkers(workers))
 			}
 		})
 	}
