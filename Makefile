@@ -3,7 +3,8 @@
 # suite under the Go race detector, plus two guards that only mean
 # anything without -race: the zero-allocation PUT issue paths
 # (single, batched and stride; sync.Pool drops items under the race
-# detector) and the deterministic table golden. The exact-count gates
+# detector) and the deterministic goldens: the paper's tables and
+# MLSim's bit-identical replays. The exact-count gates
 # (hot counter, >256-cell ring, coalesced command stream) rerun on one
 # core so their verdict does not depend on the host's. The bench module is
 # vetted and tested on its own lines: it compiles against internal/
@@ -51,7 +52,7 @@ verify:
 	$(GO) test -run 'TestPutIssueZeroAllocUnobserved|TestBatchIssueZeroAllocUnobserved|TestStridePutZeroAllocUnobserved' .
 	$(GO) test -run TestDSMCacheHitZeroAlloc ./internal/dsm/
 	$(GO) test -run TestPGASAggregatedZeroAlloc ./internal/pgas/
-	$(GO) test -run TestTablesDeterministicOrder ./internal/stats/
+	$(GO) test -run 'TestTablesDeterministicOrder|TestReplayGolden' ./internal/stats/ ./internal/mlsim/
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'TestAtomicHotCounterMessages|TestNeighborRingAtScale|TestCoalesceCommandCounts' . ./internal/machine/
 	$(MAKE) chaos
 

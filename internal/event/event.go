@@ -32,7 +32,7 @@ const Forever Time = 1<<63 - 1
 // nearest nanosecond.
 func Microseconds(us float64) Time {
 	if us < 0 {
-		return -Microseconds(-us)
+		return -Time(-us*1000 + 0.5)
 	}
 	return Time(us*1000 + 0.5)
 }

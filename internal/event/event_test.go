@@ -20,6 +20,8 @@ func TestMicroseconds(t *testing.T) {
 		{0.0004, 0}, // rounds down below 0.5ns
 		{0.0006, 1},
 		{-1.5, -1500},
+		{-0.0004, 0}, // negatives round by magnitude, as positives do
+		{-0.0006, -1},
 	}
 	for _, c := range cases {
 		if got := Microseconds(c.us); got != c.want {

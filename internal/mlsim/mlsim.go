@@ -123,9 +123,15 @@ type arrival struct {
 	size int64
 }
 
-// collective tracks one episode of a barrier/reduction on a group.
+// collective tracks one episode of a barrier/reduction on a group as
+// a counter: trace.Validate admits only distinct members of the group,
+// so the episode is complete when arrived reaches the group size, and
+// it leaves the table when departed does.
 type collective struct {
-	arrivals map[int]event.Time // rank -> arrival time
+	key      int
+	arrived  int
+	departed int
+	maxAt    event.Time // latest arrival
 }
 
 // pe is the per-processor replay state.
@@ -140,29 +146,35 @@ type pe struct {
 	pendingIntr event.Time
 	// episode counters for collectives, per group.
 	episode map[trace.GroupID]int
+	// coll is the collective this PE has arrived at and not yet left.
+	coll *collective
 	// inBurst marks that the previous event was also a PUT/GET, so
 	// the library-entry costs amortize (the run-time system issues
 	// element bursts inside one call).
 	inBurst bool
+	// blocked marks that the PE's last step failed and nothing it
+	// waits on has changed since (see wake).
+	blocked bool
 	done    bool
 }
 
 // Sim is a configured simulation.
 type Sim struct {
-	ts    *trace.TraceSet
-	p     *params.Params
-	torus *topology.Torus
-	pes   []*pe
+	ts   *trace.TraceSet
+	p    *params.Params
+	hops hopTable
+	pes  []*pe
 	// flags[pe][flag] increment history.
 	flags []map[trace.FlagID]*flagLog
-	// sends[src][dst] FIFO of arrivals.
-	sends map[[2]int][]arrival
-	// collectives[group][kind][episode].
-	colls map[collKey]*collective
+	// sends[src*PEs+dst] FIFO of arrivals.
+	sends map[int][]arrival
+	// colls holds the collective episodes some member has arrived at
+	// and not every member has left.
+	colls map[int]*collective
 
-	messages int64
-	bytes    int64
-	hops     int64
+	messages  int64
+	bytes     int64
+	totalHops int64
 
 	// logMessages enables collection of the per-message log used by
 	// the contention analyzer.
@@ -187,10 +199,14 @@ type Message struct {
 	Size     int64
 }
 
-type collKey struct {
-	group   trace.GroupID
-	kind    trace.Kind
-	episode int
+// collKey names the collective episode a PE arrives at with event e:
+// the group, and the PE's count of collectives on that group mixed
+// with the kind, so members that disagree on the kind meet in
+// different episodes. It is one int so the table hashes it on the
+// fast path.
+func (s *Sim) collKey(pe *pe, e *trace.Event) int {
+	ep := pe.episode[e.Group]*8 + int(e.Kind)
+	return ep*len(s.ts.Meta.Groups) + int(e.Group)
 }
 
 // New prepares a simulation of ts under model p.
@@ -206,9 +222,9 @@ func New(ts *trace.TraceSet, p *params.Params) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{
-		ts: ts, p: p, torus: torus,
-		sends: make(map[[2]int][]arrival),
-		colls: make(map[collKey]*collective),
+		ts: ts, p: p, hops: newHopTable(torus),
+		sends: make(map[int][]arrival),
+		colls: make(map[int]*collective),
 	}
 	for id := 0; id < ts.Meta.PEs; id++ {
 		s.pes = append(s.pes, &pe{
@@ -237,7 +253,8 @@ func (s *Sim) AttachTimeline(tl *obs.Timeline) {
 
 // Run replays the whole trace and returns the result. The replay is
 // deterministic: PEs advance round-robin, each as far as its
-// dependencies allow.
+// dependencies allow; a PE whose step failed is skipped until
+// something it may be waiting on changes.
 func Run(ts *trace.TraceSet, p *params.Params) (*Result, error) {
 	s, err := New(ts, p)
 	if err != nil {
@@ -278,7 +295,7 @@ func (s *Sim) run() (*Result, error) {
 		Messages: s.messages, Bytes: s.bytes,
 	}
 	if s.messages > 0 {
-		res.MeanDistance = float64(s.hops) / float64(s.messages)
+		res.MeanDistance = float64(s.totalHops) / float64(s.messages)
 	}
 	for i, pe := range s.pes {
 		if !pe.done {
@@ -305,11 +322,18 @@ func (s *Sim) run() (*Result, error) {
 }
 
 // advance executes events for one PE until it blocks or finishes,
-// reporting whether any event was consumed.
+// reporting whether any event was consumed. A blocked PE is not
+// retried: a failed FlagWait or RECV changes nothing, and a failed
+// collective's only effect is its first arrival, so the retry would
+// fail the same way without side effects until wake runs.
 func (s *Sim) advance(pe *pe) bool {
+	if pe.blocked {
+		return false
+	}
 	progressed := false
 	for pe.pc < len(pe.events) {
 		if !s.step(pe, &pe.events[pe.pc]) {
+			pe.blocked = true
 			break
 		}
 		pe.pc++
@@ -321,6 +345,12 @@ func (s *Sim) advance(pe *pe) bool {
 	}
 	return progressed
 }
+
+// wake lets a blocked PE be retried. Exactly three events can unblock
+// a step, and each calls it: a flag increment on the PE (incFlag), a
+// SEND queued to it (doSend), and the last arrival of a collective it
+// belongs to (doCollective).
+func (s *Sim) wake(id int) { s.pes[id].blocked = false }
 
 // applyIntr folds accumulated interrupt-handler time into the clock.
 func (pe *pe) applyIntr() {
@@ -520,12 +550,46 @@ func (s *Sim) chargeQueue(pe *pe, size int64) {
 	}
 }
 
+// hopTable answers Torus.Distance by lookup. That distance is the sum
+// of the shortest ring displacements along X and along Y, so it is
+// tabled per dimension: x and y hold each PE's coordinates, dx[ax*w+bx]
+// and dy[ay*h+by] the hops between two coordinates.
+type hopTable struct {
+	w, h   int
+	x, y   []int
+	dx, dy []int
+}
+
+func newHopTable(t *topology.Torus) hopTable {
+	w, h := t.Width(), t.Height()
+	ht := hopTable{w: w, h: h, x: make([]int, w*h), y: make([]int, w*h), dx: make([]int, w*w), dy: make([]int, h*h)}
+	for id := range ht.x {
+		ht.x[id], ht.y[id] = t.Coord(topology.CellID(id))
+	}
+	for a := 0; a < w; a++ {
+		for b := 0; b < w; b++ {
+			ht.dx[a*w+b] = t.Distance(t.ID(a, 0), t.ID(b, 0))
+		}
+	}
+	for a := 0; a < h; a++ {
+		for b := 0; b < h; b++ {
+			ht.dy[a*h+b] = t.Distance(t.ID(0, a), t.ID(0, b))
+		}
+	}
+	return ht
+}
+
+// distance is Torus.Distance between PEs a and b.
+func (ht *hopTable) distance(a, b int) int {
+	return ht.dx[ht.x[a]*ht.w+ht.x[b]] + ht.dy[ht.y[a]*ht.h+ht.y[b]]
+}
+
 // account records one network message.
 func (s *Sim) account(src, dst int, size int64) int {
-	dist := s.torus.Distance(topology.CellID(src), topology.CellID(dst))
+	dist := s.hops.distance(src, dst)
 	s.messages++
 	s.bytes += size
-	s.hops += int64(dist)
+	s.totalHops += int64(dist)
 	return dist
 }
 
@@ -563,6 +627,7 @@ func (s *Sim) incFlag(peID int, flag trace.FlagID, at event.Time) {
 		s.flags[peID][flag] = fl
 	}
 	fl.add(at)
+	s.wake(peID)
 }
 
 // stridePackCost is the software gather/scatter cost of a strided
@@ -604,7 +669,7 @@ func (s *Sim) doPut(pe *pe, e *trace.Event) {
 	s.incFlag(dst, e.RecvFlag, ready)
 	lastArrive := ready
 	if e.Ack {
-		dist := s.torus.Distance(topology.CellID(pe.id), topology.CellID(dst))
+		dist := s.hops.distance(pe.id, dst)
 		if s.p.Features.DirectAck {
 			// Ablation: the rejected direct-acknowledge design. The
 			// receiving MSC+ replies when the receive DMA completes;
@@ -700,20 +765,25 @@ func (s *Sim) doSend(pe *pe, e *trace.Event) {
 	}
 	lat, cpu := s.recvHandling(e.Size)
 	s.pes[int(e.Peer)].pendingIntr += cpu
-	key := [2]int{pe.id, int(e.Peer)}
+	key := pe.id*len(s.pes) + int(e.Peer)
 	s.sends[key] = append(s.sends[key], arrival{at: arrive + lat, size: e.Size})
+	s.wake(int(e.Peer))
 }
 
 // doRecv matches the oldest SEND from the peer; blocked until one
 // exists.
 func (s *Sim) doRecv(pe *pe, e *trace.Event) bool {
-	key := [2]int{int(e.Peer), pe.id}
+	key := int(e.Peer)*len(s.pes) + pe.id
 	q := s.sends[key]
 	if len(q) == 0 {
 		return false
 	}
 	msg := q[0]
-	s.sends[key] = q[1:]
+	if len(q) == 1 {
+		s.sends[key] = q[:0] // drained: the next SEND reuses the buffer
+	} else {
+		s.sends[key] = q[1:]
+	}
 	pe.applyIntr()
 	pe.charge(&pe.stats.Overhead, us(s.p.RecvSearchTime))
 	pe.idleUntil(msg.at)
@@ -786,31 +856,36 @@ func (s *Sim) collectiveCost(e *trace.Event, groupSize int) (cpu, lag event.Time
 // arrive; everyone resumes at max(arrival)+lag.
 func (s *Sim) doCollective(pe *pe, e *trace.Event) bool {
 	group := s.ts.Group(e.Group)
-	ep := pe.episode[e.Group]*8 + int(e.Kind) // separate episodes per kind via mixed key
-	key := collKey{group: e.Group, kind: e.Kind, episode: ep}
-	coll := s.colls[key]
+	coll := pe.coll
 	if coll == nil {
-		coll = &collective{arrivals: make(map[int]event.Time)}
-		s.colls[key] = coll
+		key := s.collKey(pe, e)
+		coll = s.colls[key]
+		if coll == nil {
+			coll = &collective{key: key}
+			s.colls[key] = coll
+		}
+		coll.arrived++
+		coll.maxAt = max(coll.maxAt, pe.now)
+		pe.coll = coll
+		if coll.arrived == len(group) {
+			for _, m := range group {
+				s.wake(int(m))
+			}
+		}
 	}
-	if _, mine := coll.arrivals[pe.id]; !mine {
-		coll.arrivals[pe.id] = pe.now
-	}
-	if len(coll.arrivals) < len(group) {
+	if coll.arrived < len(group) {
 		return false
 	}
 	// All arrived: release.
-	var maxAt event.Time
-	for _, at := range coll.arrivals {
-		if at > maxAt {
-			maxAt = at
-		}
-	}
 	cpu, lag := s.collectiveCost(e, len(group))
 	pe.applyIntr()
 	pe.charge(&pe.stats.Overhead, cpu)
-	pe.idleUntil(maxAt + lag)
+	pe.idleUntil(coll.maxAt + lag)
 	pe.episode[e.Group]++
+	pe.coll = nil
+	if coll.departed++; coll.departed == len(group) {
+		delete(s.colls, coll.key)
+	}
 	return true
 }
 

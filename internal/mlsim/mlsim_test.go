@@ -321,6 +321,23 @@ func TestBreakdownSumsToTotal(t *testing.T) {
 	}
 }
 
+func TestHopTableMatchesTorus(t *testing.T) {
+	for _, dims := range [][2]int{{2, 2}, {4, 1}, {3, 5}, {8, 8}, {16, 4}} {
+		torus, err := topology.NewTorus(dims[0], dims[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ht := newHopTable(torus)
+		for a := 0; a < torus.Cells(); a++ {
+			for b := 0; b < torus.Cells(); b++ {
+				if got, want := ht.distance(a, b), torus.Distance(topology.CellID(a), topology.CellID(b)); got != want {
+					t.Fatalf("%dx%d: distance(%d, %d) = %d, torus says %d", dims[0], dims[1], a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestLoadImbalance(t *testing.T) {
 	balanced := synthetic("bal", func(pe int, r *trace.Recorder) {
 		r.Compute(100)

@@ -9,50 +9,114 @@ import (
 	"ap1000plus/internal/trace"
 )
 
+// Flags of randomTrace: PUT data lands on recvFlag, a GET's reply on
+// getFlag; sendFlag counts a PUT's source buffer freed, and a GET's
+// send flag bumps holdFlag at the data holder, which nobody waits on.
+const (
+	recvFlag trace.FlagID = 5
+	getFlag  trace.FlagID = 6
+	sendFlag trace.FlagID = 7
+	holdFlag trace.FlagID = 8
+)
+
 // randomTrace builds a structurally valid random trace that cannot
-// deadlock: flag waits always target flags that puts increment, and
-// collectives appear in identical order on every PE.
+// deadlock. Each of one or two rounds issues computes, plain, acked
+// and strided PUTs, GETs with send flags and SENDs, none of which
+// block; then every PE receives what was sent to it, waits on every
+// flag count the round raised, and runs the round's collectives. The
+// collectives (barriers, scalar and vector gops over all cells, the
+// even PEs and a random subset) follow one schedule that each PE
+// filters to the groups it belongs to, so no two members ever wait on
+// each other in opposite orders.
 func randomTrace(seed int64, pes int) *trace.TraceSet {
 	rng := rand.New(rand.NewSource(seed))
-	w := 2
-	h := pes / 2
-	ts := trace.New("random", w, h)
-	// A common collective schedule.
-	collectives := rng.Intn(4)
+	ts := trace.New("random", 2, pes/2)
+	var evens []topology.CellID
+	for pe := 0; pe < pes; pe += 2 {
+		evens = append(evens, topology.CellID(pe))
+	}
+	var subset []topology.CellID
+	for _, pe := range rng.Perm(pes)[:1+rng.Intn(pes)] {
+		subset = append(subset, topology.CellID(pe))
+	}
+	groups := [][]topology.CellID{ts.Group(trace.AllGroup), evens, subset}
+	ts.AddGroup(evens)
+	ts.AddGroup(subset)
+
 	recorders := make([]*trace.Recorder, pes)
-	counts := make([]int64, pes) // incoming flagged puts per PE
-	for pe := 0; pe < pes; pe++ {
+	for pe := range recorders {
 		recorders[pe] = trace.NewRecorder()
 	}
-	for pe := 0; pe < pes; pe++ {
-		r := recorders[pe]
-		for i := 0; i < rng.Intn(20); i++ {
-			switch rng.Intn(4) {
-			case 0:
-				r.Compute(rng.Float64() * 100)
-			case 1:
-				dst := topology.CellID(rng.Intn(pes))
-				r.Put(dst, int64(1+rng.Intn(4096)), 1, trace.NoFlag, 5, rng.Intn(2) == 0, false)
-				counts[dst]++
-			case 2:
-				dst := topology.CellID(rng.Intn(pes))
-				r.Put(dst, int64(8+rng.Intn(1024)), int64(2+rng.Intn(64)), trace.NoFlag, 5, false, true)
-				counts[dst]++
-			case 3:
-				r.Get(topology.CellID(rng.Intn(pes)), int64(1+rng.Intn(2048)), 1, trace.NoFlag, trace.NoFlag, false)
+	// Cumulative flag targets per PE, and SEND sizes per (src, dst).
+	recvs, gets, sends, acks := make([]int64, pes), make([]int64, pes), make([]int64, pes), make([]int64, pes)
+	sent := make([][][]int64, pes)
+	for src := range sent {
+		sent[src] = make([][]int64, pes)
+	}
+	for round := 1 + rng.Intn(2); round > 0; round-- {
+		for pe, r := range recorders {
+			for i := rng.Intn(20); i > 0; i-- {
+				dst := rng.Intn(pes)
+				switch rng.Intn(6) {
+				case 0:
+					r.Compute(rng.Float64() * 100)
+				case 1:
+					ack := rng.Intn(2) == 0
+					r.Put(topology.CellID(dst), int64(1+rng.Intn(4096)), 1, sendFlag, recvFlag, ack, false)
+					recvs[dst]++
+					sends[pe]++
+					if ack {
+						acks[pe]++
+					}
+				case 2:
+					r.Put(topology.CellID(dst), int64(8+rng.Intn(1024)), int64(2+rng.Intn(64)), trace.NoFlag, recvFlag, false, true)
+					recvs[dst]++
+				case 3:
+					r.Get(topology.CellID(dst), int64(1+rng.Intn(2048)), int64(1+rng.Intn(2)*rng.Intn(32)), holdFlag, getFlag, rng.Intn(2) == 0)
+					gets[pe]++
+				case 4:
+					size := int64(rng.Intn(8192))
+					r.Send(topology.CellID(dst), size, rng.Intn(2) == 0)
+					sent[pe][dst] = append(sent[pe][dst], size)
+				case 5:
+					r.Get(topology.CellID(dst), int64(rng.Intn(64)), 1, trace.NoFlag, trace.NoFlag, false)
+				}
+			}
+		}
+		for pe, r := range recorders {
+			for src := range sent {
+				for _, size := range sent[src][pe] {
+					r.Recv(topology.CellID(src), size, false)
+				}
+				sent[src][pe] = nil
+			}
+			for _, w := range []struct {
+				flag  trace.FlagID
+				count int64
+			}{{recvFlag, recvs[pe]}, {getFlag, gets[pe]}, {sendFlag, sends[pe]}, {trace.AckFlag, acks[pe]}} {
+				if w.count > 0 {
+					r.FlagWait(w.flag, w.count)
+				}
+			}
+		}
+		for c := rng.Intn(6); c > 0; c-- {
+			g := rng.Intn(len(groups))
+			kind, size := rng.Intn(3), int64(8*rng.Intn(2048))
+			for _, m := range groups[g] {
+				r := recorders[m]
+				switch kind {
+				case 0:
+					r.Barrier(trace.GroupID(g))
+				case 1:
+					r.GopScalar(trace.GroupID(g), trace.ReduceSum)
+				case 2:
+					r.GopVector(trace.GroupID(g), trace.ReduceMax, size)
+				}
 			}
 		}
 	}
-	for pe := 0; pe < pes; pe++ {
-		// Wait for everything that was sent to us, then synchronize.
-		if counts[pe] > 0 {
-			recorders[pe].FlagWait(5, counts[pe])
-		}
-		for c := 0; c < collectives; c++ {
-			recorders[pe].Barrier(trace.AllGroup)
-			recorders[pe].GopScalar(trace.AllGroup, trace.ReduceSum)
-		}
-		ts.PE[pe] = recorders[pe].Events()
+	for pe, r := range recorders {
+		ts.PE[pe] = r.Events()
 	}
 	return ts
 }

@@ -219,8 +219,10 @@ func (ts *TraceSet) Events() int {
 }
 
 // Validate checks structural invariants: PE count matches metadata,
-// peers and groups are in range, sizes non-negative, and group 0 is
-// all cells.
+// peers and groups are in range, sizes non-negative, group 0 is all
+// cells, no group lists a member twice, and only members of a group
+// issue its collectives — so a collective completes exactly when as
+// many PEs as the group has members have arrived.
 func (ts *TraceSet) Validate() error {
 	if ts.Meta.PEs != ts.Meta.Width*ts.Meta.Height {
 		return fmt.Errorf("trace: PEs %d != %dx%d", ts.Meta.PEs, ts.Meta.Width, ts.Meta.Height)
@@ -231,6 +233,8 @@ func (ts *TraceSet) Validate() error {
 	if len(ts.Meta.Groups) == 0 || len(ts.Meta.Groups[0]) != ts.Meta.PEs {
 		return fmt.Errorf("trace: group 0 must contain all %d cells", ts.Meta.PEs)
 	}
+	// listedBy[m] == gi+1 once group gi has listed member m.
+	listedBy := make([]int, ts.Meta.PEs)
 	for gi, g := range ts.Meta.Groups {
 		if len(g) == 0 {
 			return fmt.Errorf("trace: group %d empty", gi)
@@ -239,10 +243,32 @@ func (ts *TraceSet) Validate() error {
 			if int(m) < 0 || int(m) >= ts.Meta.PEs {
 				return fmt.Errorf("trace: group %d member %d out of range", gi, m)
 			}
+			if listedBy[m] == gi+1 {
+				return fmt.Errorf("trace: group %d lists member %d twice", gi, m)
+			}
+			listedBy[m] = gi + 1
 		}
 	}
+	// Group 0 holds every PE once, so only the other groups need a
+	// membership set, built when a collective first names the group.
+	var members [][]uint64
+	isMember := func(g GroupID, pe int) bool {
+		if members == nil {
+			members = make([][]uint64, len(ts.Meta.Groups))
+		}
+		set := members[g]
+		if set == nil {
+			set = make([]uint64, (ts.Meta.PEs+63)/64)
+			for _, m := range ts.Meta.Groups[g] {
+				set[m/64] |= 1 << (m % 64)
+			}
+			members[g] = set
+		}
+		return set[pe/64]&(1<<(pe%64)) != 0
+	}
 	for pe, evs := range ts.PE {
-		for i, e := range evs {
+		for i := range evs {
+			e := &evs[i]
 			if e.Kind >= numKinds {
 				return fmt.Errorf("trace: pe %d event %d: bad kind %d", pe, i, e.Kind)
 			}
@@ -260,6 +286,9 @@ func (ts *TraceSet) Validate() error {
 			case KindBarrier, KindGopScalar, KindGopVector:
 				if int(e.Group) < 0 || int(e.Group) >= len(ts.Meta.Groups) {
 					return fmt.Errorf("trace: pe %d event %d: group %d undefined", pe, i, e.Group)
+				}
+				if e.Group != AllGroup && !isMember(e.Group, pe) {
+					return fmt.Errorf("trace: pe %d event %d: %s on group %d, which pe %d is not a member of", pe, i, e.Kind, e.Group, pe)
 				}
 			}
 		}

@@ -53,20 +53,33 @@ func TestValidateCatchesErrors(t *testing.T) {
 	mutations := []struct {
 		name string
 		f    func(*TraceSet)
+		want string // a substring of the error, when it names the culprit
 	}{
-		{"bad peer", func(ts *TraceSet) { ts.PE[0][1].Peer = 99 }},
-		{"bad group", func(ts *TraceSet) { ts.PE[0][7].Group = 42 }},
-		{"negative size", func(ts *TraceSet) { ts.PE[0][1].Size = -1 }},
-		{"zero items", func(ts *TraceSet) { ts.PE[0][1].Items = 0 }},
-		{"stream count", func(ts *TraceSet) { ts.PE = ts.PE[:2] }},
-		{"group0 not all", func(ts *TraceSet) { ts.Meta.Groups[0] = ts.Meta.Groups[0][:1] }},
-		{"empty group", func(ts *TraceSet) { ts.Meta.Groups[1] = nil }},
+		{"bad peer", func(ts *TraceSet) { ts.PE[0][1].Peer = 99 }, ""},
+		{"bad group", func(ts *TraceSet) { ts.PE[0][7].Group = 42 }, ""},
+		{"negative size", func(ts *TraceSet) { ts.PE[0][1].Size = -1 }, ""},
+		{"zero items", func(ts *TraceSet) { ts.PE[0][1].Items = 0 }, ""},
+		{"stream count", func(ts *TraceSet) { ts.PE = ts.PE[:2] }, ""},
+		{"group0 not all", func(ts *TraceSet) { ts.Meta.Groups[0] = ts.Meta.Groups[0][:1] }, ""},
+		{"empty group", func(ts *TraceSet) { ts.Meta.Groups[1] = nil }, ""},
+		// PE 2 is not in group {0,1}: counted as an arrival it would
+		// release the members before PE 1 arrives.
+		{"non-member collective", func(ts *TraceSet) {
+			ts.PE[2] = append(ts.PE[2], Event{Kind: KindBarrier, Group: 1})
+		}, "pe 2 event 2: barrier on group 1"},
+		// {0,0,1} has three entries but two PEs: its barrier never
+		// completes.
+		{"duplicate member", func(ts *TraceSet) { ts.Meta.Groups[1] = []topology.CellID{0, 0, 1} }, "group 1 lists member 0 twice"},
+		{"duplicate member in group 0", func(ts *TraceSet) { ts.Meta.Groups[0] = []topology.CellID{0, 1, 1, 3} }, "group 0 lists member 1 twice"},
 	}
 	for _, m := range mutations {
 		ts := sampleTrace()
 		m.f(ts)
-		if err := ts.Validate(); err == nil {
+		err := ts.Validate()
+		if err == nil {
 			t.Errorf("%s: Validate should fail", m.name)
+		} else if !strings.Contains(err.Error(), m.want) {
+			t.Errorf("%s: err = %v, want it to name %q", m.name, err, m.want)
 		}
 	}
 }
