@@ -143,9 +143,9 @@ func (c *Cell) FenceAtomics() {
 // controller-side half of the issue path. With combining armed and a
 // combinable operation, the request enters the combining tree and may
 // be absorbed without touching the wire.
-func (m *Machine) routeAtomic(c *Cell, cmd msc.Command, exec int) {
+func (m *Machine) routeAtomic(c *Cell, cmd *msc.Command, exec int) {
 	// A cross-partition request skips the stations, where a legal
-	// neighbour's batch could absorb it, and reaches Send's isolation
+	// neighbour's batch could absorb it, and reaches Transmit's isolation
 	// check.
 	if cb := m.comb; cb != nil && cmd.AOp.Combinable() && m.partOf[c.id] == m.partOf[cmd.Dst] {
 		root, send := cb.Submit(c.id, cmd.Dst, cmd.RAddr, cmd.AOp, cmd.Tag, cmd.AVal)
@@ -161,20 +161,23 @@ func (m *Machine) routeAtomic(c *Cell, cmd msc.Command, exec int) {
 			return
 		}
 		// Root master: one combined request carries the whole subtree.
-		out := cmd
+		out := *cmd
 		out.AVal = root.Delta
 		op := cmd.AOp // the waiter must not capture cmd: it would escape on every atomic
 		out.Tag = c.newAtomicWaiter(func(val int64, ok bool, exec int) {
 			m.decombine(root, op, val, ok, exec)
 		})
-		if !m.xmit(c, tnet.Packet{Head: out, SanTid: exec}) {
+		if !m.xmit(c, &tnet.Packet{Head: out, SanTid: exec}) {
 			// Retry budget exhausted: settle every member so no CPU
 			// hangs on a result that can never arrive.
 			c.completeAtomic(out.Tag, 0, false, exec)
 		}
 		return
 	}
-	if !m.xmit(c, tnet.Packet{Head: cmd, SanTid: exec}) {
+	var pkt tnet.Packet
+	pkt.Head = *cmd
+	pkt.SanTid = exec
+	if !m.xmit(c, &pkt) {
 		if cmd.Tag != 0 {
 			c.completeAtomic(cmd.Tag, 0, false, exec)
 		} else {
@@ -218,7 +221,7 @@ func (m *Machine) decombine(node *tnet.AtomNode, op mc.AtomicOp, base int64, ok 
 // senders' controllers deliver concurrently), and report the old word
 // or a fault. Atomics are synchronization operations like the flag
 // incrementer, so no sanitizer access is recorded for the RMW itself.
-func (c *Cell) execAtomic(cmd msc.Command) (old int64, faulted bool) {
+func (c *Cell) execAtomic(cmd *msc.Command) (old int64, faulted bool) {
 	if _, err := c.MMU.Translate(cmd.RAddr, 8); err != nil {
 		c.OS.interrupt(IntrPageFault)
 		c.OS.fault(fmt.Errorf("machine: cell %d: atomic %s: %w", c.id, cmd.AOp, err))
@@ -252,8 +255,8 @@ func (c *Cell) execAtomic(cmd msc.Command) (old int64, faulted bool) {
 // the cached result. Non-fetching duplicates need nothing: their only
 // observable effect is the fence ack the original reply carried, and
 // replaying it would double-count the fence.
-func (c *Cell) replayAtomic(p tnet.Packet) {
-	cmd := p.Head
+func (c *Cell) replayAtomic(p *tnet.Packet) {
+	cmd := &p.Head
 	if cmd.Tag == 0 {
 		return
 	}
@@ -274,5 +277,5 @@ func (c *Cell) replayAtomic(p tnet.Packet) {
 		Op: msc.OpAtomicReply, Src: c.id, Dst: cmd.Src,
 		RAddr: cmd.RAddr, AOp: cmd.AOp, AVal: val, Tag: cmd.Tag,
 	}
-	m.xmit(c, tnet.Packet{Head: reply, SanTid: p.SanTid})
+	m.xmit(c, &tnet.Packet{Head: reply, SanTid: p.SanTid})
 }

@@ -25,7 +25,7 @@ const drainBatch = 16
 // clock the issuer released into the command; everything downstream
 // of this call — including inline packet delivery on the destination
 // cell — executes as this controller's logical thread.
-func (m *Machine) process(c *Cell, cmd msc.Command) {
+func (m *Machine) process(c *Cell, cmd *msc.Command) {
 	// Only the worker that owns this cell emits slices on its MSC
 	// track, so the X slices nest cleanly.
 	var tl *obs.Timeline
@@ -48,7 +48,10 @@ func (m *Machine) process(c *Cell, cmd msc.Command) {
 		m.sendData(c, cmd, exec)
 	case msc.OpGet, msc.OpRemoteLoad:
 		// Request messages carry no payload; route them out.
-		m.xmit(c, tnet.Packet{Head: cmd, SanTid: exec})
+		var pkt tnet.Packet
+		pkt.Head = *cmd
+		pkt.SanTid = exec
+		m.xmit(c, &pkt)
 	case msc.OpAtomic:
 		m.routeAtomic(c, cmd, exec)
 	case msc.OpGetReply:
@@ -56,7 +59,7 @@ func (m *Machine) process(c *Cell, cmd msc.Command) {
 	case msc.OpRemoteLoadReply:
 		m.loadReply(c, cmd, exec)
 	default:
-		c.OS.fault(fmt.Errorf("machine: cell %d: unknown command %v", c.id, cmd))
+		c.OS.fault(fmt.Errorf("machine: cell %d: unknown command %v", c.id, *cmd))
 	}
 }
 
@@ -94,7 +97,7 @@ func sendReadLabel(op msc.Op) string {
 // sendData runs the send DMA for a data-bearing command: translate
 // the local address, capture the payload, raise the send flag, and
 // inject the packet.
-func (m *Machine) sendData(c *Cell, cmd msc.Command, exec int) {
+func (m *Machine) sendData(c *Cell, cmd *msc.Command, exec int) {
 	var payload *mem.Payload
 	if cmd.LAddr != 0 && cmd.LStride.Total() > 0 {
 		if _, err := c.MMU.Translate(cmd.LAddr, cmd.LStride.Extent()); err != nil {
@@ -122,21 +125,26 @@ func (m *Machine) sendData(c *Cell, cmd msc.Command, exec int) {
 	// flag (S4.1, "flag update combined with data transfer").
 	m.sanFlagInc(exec, int(c.id), cmd.SendFlag)
 	c.Flags.Inc(cmd.SendFlag)
-	pkt := tnet.Packet{Head: cmd, Payload: payload, SanTid: exec}
+	// Field by field: a composite literal around *cmd builds a
+	// temporary and copies the 160-byte header twice.
+	var pkt tnet.Packet
+	pkt.Head = *cmd
+	pkt.Payload = payload
+	pkt.SanTid = exec
 	// PUT and remote store payloads are copied out during delivery, so
 	// the wire recycles their buffers once the handler returns,
 	// wherever that happens; SEND payloads park in the destination's
 	// ring buffer and must stay alive. Under a fault plan a copy may
 	// still sit in the reorder limbo, so the buffer is left to the GC.
 	pkt.FreeOnDeliver = m.rel == nil && cmd.Op != msc.OpSend
-	m.xmit(c, pkt)
+	m.xmit(c, &pkt)
 }
 
 // reply serves a queued GET request: capture the requested range from
 // local memory and send it back to the requester. The data-sending
 // side's flag (cmd.SendFlag, a flag on THIS cell chosen by the
 // requester) rises when the reply DMA completes.
-func (m *Machine) reply(c *Cell, cmd msc.Command, exec int) {
+func (m *Machine) reply(c *Cell, cmd *msc.Command, exec int) {
 	var payload *mem.Payload
 	if cmd.RAddr != 0 {
 		if _, err := c.MMU.Translate(cmd.RAddr, cmd.RStride.Extent()); err != nil {
@@ -154,19 +162,21 @@ func (m *Machine) reply(c *Cell, cmd msc.Command, exec int) {
 	}
 	m.sanFlagInc(exec, int(c.id), cmd.SendFlag)
 	c.Flags.Inc(cmd.SendFlag)
-	out := cmd
-	out.Src = c.id
-	out.Dst = cmd.Src // back to the requester
-	pkt := tnet.Packet{Head: out, Payload: payload, SanTid: exec}
+	var pkt tnet.Packet
+	pkt.Head = *cmd
+	pkt.Head.Src = c.id
+	pkt.Head.Dst = cmd.Src // back to the requester
+	pkt.Payload = payload
+	pkt.SanTid = exec
 	// The reply is copied into the requester's memory during delivery;
 	// the wire recycles the buffer afterwards (unless a fault plan may
 	// still be holding a copy in limbo).
 	pkt.FreeOnDeliver = m.rel == nil
-	m.xmit(c, pkt)
+	m.xmit(c, &pkt)
 }
 
 // loadReply serves a queued remote load.
-func (m *Machine) loadReply(c *Cell, cmd msc.Command, exec int) {
+func (m *Machine) loadReply(c *Cell, cmd *msc.Command, exec int) {
 	var payload *mem.Payload
 	if _, err := c.MMU.Translate(cmd.RAddr, cmd.RStride.Extent()); err != nil {
 		c.OS.interrupt(IntrPageFault)
@@ -194,10 +204,13 @@ func (m *Machine) loadReply(c *Cell, cmd msc.Command, exec int) {
 			}
 		}
 	}
-	out := cmd
-	out.Src = c.id
-	out.Dst = cmd.Src
-	m.xmit(c, tnet.Packet{Head: out, Payload: payload, SanTid: exec})
+	var pkt tnet.Packet
+	pkt.Head = *cmd
+	pkt.Head.Src = c.id
+	pkt.Head.Dst = cmd.Src
+	pkt.Payload = payload
+	pkt.SanTid = exec
+	m.xmit(c, &pkt)
 }
 
 // receive is the cell's T-net receive controller (the MSC+ of the
@@ -217,7 +230,7 @@ func (c *Cell) receive(p tnet.Packet) bool {
 		// it can touch memory or the dedup window; a duplicate is
 		// acknowledged without re-running the DMA, the flag increment
 		// or the sanitizer hooks — the effects fire exactly once.
-		switch r.admit(c, p) {
+		switch r.admit(c, &p) {
 		case admitReject:
 			return false
 		case admitDup:
@@ -225,12 +238,12 @@ func (c *Cell) receive(p tnet.Packet) bool {
 				// Exactly-once atomics: a duplicated request must not
 				// re-execute the RMW, but the requester may still need the
 				// result — serve it from the link's replay cache.
-				c.replayAtomic(p)
+				c.replayAtomic(&p)
 			}
 			return true
 		}
 	}
-	cmd := p.Head
+	cmd := &p.Head
 	exec := p.SanTid
 	switch cmd.Op {
 	case msc.OpPut:
@@ -256,7 +269,7 @@ func (c *Cell) receive(p tnet.Packet) bool {
 		// The MSC+ "analyzes the GET request message and enters it
 		// into the reply queue" — no processor involvement. The queued
 		// entry is the reply to produce.
-		req := cmd
+		req := *cmd
 		req.Op = msc.OpGetReply
 		if s := m.san; s != nil {
 			// The reply runs later on THIS cell's controller; hand the
@@ -275,7 +288,7 @@ func (c *Cell) receive(p tnet.Packet) bool {
 		return true
 
 	case msc.OpRemoteStore:
-		if !c.deliver(remoteStoreAsPut(cmd), p.Payload, exec, "remote store receive DMA write") {
+		if !c.deliver(cmd, p.Payload, exec, "remote store receive DMA write") {
 			return false
 		}
 		// Directory coherence: invalidate every registered sharer of
@@ -288,7 +301,7 @@ func (c *Cell) receive(p tnet.Packet) bool {
 		}
 		// Acknowledge automatically (S4.2).
 		ack := msc.Command{Op: msc.OpRemoteStoreAck, Src: c.id, Dst: cmd.Src}
-		m.xmit(c, tnet.Packet{Head: ack, SanTid: exec})
+		m.xmit(c, &tnet.Packet{Head: ack, SanTid: exec})
 		return true
 
 	case msc.OpRemoteStoreAck:
@@ -297,7 +310,7 @@ func (c *Cell) receive(p tnet.Packet) bool {
 		return true
 
 	case msc.OpRemoteLoad:
-		req := cmd
+		req := *cmd
 		req.Op = msc.OpRemoteLoadReply
 		if s := m.san; s != nil {
 			req.San = s.ReleaseHandle(exec)
@@ -351,7 +364,7 @@ func (c *Cell) receive(p tnet.Packet) bool {
 		if faulted {
 			reply.ACmp = 1
 		}
-		m.xmit(c, tnet.Packet{Head: reply, SanTid: exec})
+		m.xmit(c, &tnet.Packet{Head: reply, SanTid: exec})
 		return true
 
 	case msc.OpAtomicReply:
@@ -366,25 +379,19 @@ func (c *Cell) receive(p tnet.Packet) bool {
 		return true
 
 	default:
-		c.OS.fault(fmt.Errorf("machine: cell %d: unknown packet %v", c.id, cmd))
+		c.OS.fault(fmt.Errorf("machine: cell %d: unknown packet %v", c.id, *cmd))
 		return true
 	}
 }
 
-// remoteStoreAsPut reshapes a remote-store header so deliver writes
-// to RAddr like a PUT.
-func remoteStoreAsPut(cmd msc.Command) msc.Command {
-	cmd.Op = msc.OpPut
-	return cmd
-}
-
-// deliver runs the receive DMA: translate the destination address and
-// write the payload. A destination address of 0 (the GET-acknowledge
+// deliver runs the receive DMA: translate the destination address
+// (LAddr for a GET reply, RAddr for everything else) and write the
+// payload. A destination address of 0 (the GET-acknowledge
 // convention) skips the copy; addresses in the communication-register
 // window land in the MC's register file with p-bit semantics (S4.4:
 // the registers live in shared memory space, so remote stores reach
 // them). It reports whether the DMA completed.
-func (c *Cell) deliver(cmd msc.Command, payload *mem.Payload, exec int, op string) bool {
+func (c *Cell) deliver(cmd *msc.Command, payload *mem.Payload, exec int, op string) bool {
 	// Choose the destination side: PUT writes at RAddr on this cell;
 	// GET replies write at LAddr on this (requesting) cell.
 	addr := cmd.RAddr

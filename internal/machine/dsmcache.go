@@ -76,7 +76,7 @@ func (c *Cell) SendDSMInval(dst topology.CellID, page mem.Addr, writer topology.
 			tl.Instant(int(c.id), obs.TidMSC, "dsm", "inval-send", o.NowUs())
 		}
 	}
-	c.machine.xmit(c, tnet.Packet{Head: cmd, SanTid: -1, Inline: true})
+	c.machine.xmit(c, &tnet.Packet{Head: cmd, SanTid: -1, Inline: true})
 }
 
 // SendDSMEvict notifies the page owner dst that this cell has evicted
@@ -99,7 +99,7 @@ func (c *Cell) SendDSMEvict(dst topology.CellID, page mem.Addr, epoch int32) {
 			tl.Instant(int(c.id), obs.TidMSC, "dsm", "evict-send", o.NowUs())
 		}
 	}
-	c.machine.xmit(c, tnet.Packet{Head: cmd, SanTid: -1, Inline: true})
+	c.machine.xmit(c, &tnet.Packet{Head: cmd, SanTid: -1, Inline: true})
 }
 
 // SanReadAt records a CPU-context read of memCell's DRAM with the

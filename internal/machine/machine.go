@@ -248,8 +248,9 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// trackWire charges a packet on a link to its destination partition's
-// quiesce counter: +1 before enqueue, -1 after delivery.
+// trackWire charges packets on a link to their destination
+// partition's quiesce counter: +run when a flush publishes a run of
+// them, -run once their handlers have returned.
 func (m *Machine) trackWire(dst topology.CellID, delta int64) {
 	m.parts[m.partOf[dst]].q.add(delta)
 }

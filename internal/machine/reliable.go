@@ -191,7 +191,7 @@ func newRelay(m *Machine, inj *fault.Injector) *relay {
 // transmit and verifies on receive: FNV-1a over the header words that
 // route and apply the packet, extended with the payload hash. The Sum
 // field itself is excluded (it is the digest).
-func packetSum(h msc.Command, payload *mem.Payload) uint64 {
+func packetSum(h *msc.Command, payload *mem.Payload) uint64 {
 	const prime = 1099511628211
 	s := payload.Sum64()
 	for _, w := range [...]uint64{
@@ -219,22 +219,25 @@ func b2u64(b bool) uint64 {
 }
 
 // xmit routes a packet out of cell c. Without a fault plan it is a
-// plain tnet.Send; with one, the relay stamps the reliable-delivery
-// header and retries up to the budget while Send reports the attempt
-// lost (the injector's fate, or an inline receiver's rejection),
-// charging simulated backoff to c's counters. It reports whether an
-// attempt got through; an abandoned packet's held copies are dropped.
-func (m *Machine) xmit(c *Cell, p tnet.Packet) bool {
+// plain tnet.Transmit; with one, the relay stamps the reliable-delivery
+// header into *p and retries up to the budget while Transmit reports
+// the attempt lost (the injector's fate, or an inline receiver's
+// rejection), charging simulated backoff to c's counters. It reports
+// whether an attempt got through; an abandoned packet's held copies
+// are dropped. A cross-shard packet is only staged: the caller is a
+// delivery worker, which flushes its shard's outboxes before it
+// uncounts the work that transmitted it.
+func (m *Machine) xmit(c *Cell, p *tnet.Packet) bool {
 	r := m.rel
 	if r == nil {
-		return m.tnet.Send(p)
+		return m.tnet.Transmit(p)
 	}
 	link := &r.links[int(p.Head.Src)*r.cells+int(p.Head.Dst)]
 	link.mu.Lock()
 	link.nextSeq++
 	p.Head.Seq = link.nextSeq
 	link.mu.Unlock()
-	p.Head.Sum = packetSum(p.Head, p.Payload)
+	p.Head.Sum = packetSum(&p.Head, p.Payload)
 
 	var cc *obs.CellCounters
 	var tl *obs.Timeline
@@ -272,12 +275,12 @@ func (m *Machine) xmit(c *Cell, p tnet.Packet) bool {
 				time.Sleep(d)
 			}
 		}
-		if m.tnet.Send(p) {
+		if m.tnet.Transmit(p) {
 			return true
 		}
 	}
 	cf := &CellFault{Cell: c.id, Dst: p.Head.Dst, Op: p.Head.Op, Seq: p.Head.Seq, Attempts: max}
-	m.tnet.DropHeld(p)
+	m.tnet.DropHeld(*p)
 	r.abandon(p.Head.Src, p.Head.Dst, p.Head.Seq)
 	r.record(cf)
 	c.OS.interrupt(IntrCellFault)
@@ -303,9 +306,9 @@ const (
 // admit runs the receive-side reliable-delivery checks on cell c:
 // checksum first (a damaged packet must not touch the dedup window),
 // then the per-link sequence dedup.
-func (r *relay) admit(c *Cell, p tnet.Packet) admitVerdict {
+func (r *relay) admit(c *Cell, p *tnet.Packet) admitVerdict {
 	o := r.m.obs
-	if p.Head.Sum != packetSum(p.Head, p.Payload) {
+	if p.Head.Sum != packetSum(&p.Head, p.Payload) {
 		if o != nil {
 			o.Cell(int(c.id)).CorruptDetected.Add(1)
 			if tl := o.Timeline(); tl != nil {

@@ -9,8 +9,9 @@ import (
 )
 
 // ringLinkCap is the fast-path depth of each inter-shard wire link, in
-// packets. Like the MSC+ queue ring it models a small on-chip FIFO:
-// bursts past it spill to the link's overflow heap rather than
+// packets, and how many packets a shard's DrainInbox takes per lock
+// into its receive buffer. Like the MSC+ queue ring it models a small
+// on-chip FIFO: a backlog past it grows the link's buffer rather than
 // blocking the producer.
 const ringLinkCap = 256
 
@@ -35,9 +36,9 @@ type worker struct {
 	parked bool
 	closed bool
 
-	// inboxKick is the wire's doorbell: a producing shard sets it after
-	// enqueueing onto one of this shard's links. Checked lock-free at
-	// the top of every loop pass and before parking.
+	// inboxKick is the wire's doorbell: a producing shard sets it once
+	// per Flush that published onto one of this shard's links. Checked
+	// lock-free at the top of every loop pass and before parking.
 	inboxKick atomic.Bool
 }
 
@@ -126,8 +127,8 @@ func (w *worker) run() {
 	for {
 		did := 0
 		if w.inboxKick.Load() {
-			// Clear before draining: packets enqueued after the clear
-			// re-ring the bell, packets enqueued before it are caught by
+			// Clear before draining: packets published after the clear
+			// re-ring the bell, packets published before it are caught by
 			// this drain.
 			w.inboxKick.Store(false)
 			did += m.tnet.DrainInbox(w.shard, 0)
@@ -184,12 +185,14 @@ func (m *Machine) drainCell(c *Cell) int {
 			break
 		}
 		for i := 0; i < n; i++ {
-			m.process(c, buf[i])
+			m.process(c, &buf[i])
 		}
-		// Uncount the batch only after every command in it processed:
-		// the partition's quiesce counter must never read zero while a
-		// command is still executing (work a command spawns is counted
-		// before its own decrement lands).
+		// Publish the pass's cross-shard packets, then uncount the
+		// batch: the partition's quiesce counter must never read zero
+		// while a command is still executing or its packets are still
+		// staged (work a command spawns is counted before its own
+		// decrement lands).
+		m.tnet.Flush(c.shard)
 		c.part.q.add(-int64(n))
 		done += n
 	}

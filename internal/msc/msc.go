@@ -369,7 +369,7 @@ func NewWithQueueWords(words int) *MSC {
 func (m *MSC) PushUser(c Command) {
 	if f := m.ring; f != nil {
 		f.checkOpen()
-		f.user.push(c)
+		f.user.push(&c)
 		f.notify()
 		return
 	}
@@ -382,7 +382,7 @@ func (m *MSC) PushUser(c Command) {
 func (m *MSC) PushSystem(c Command) {
 	if f := m.ring; f != nil {
 		f.checkOpen()
-		f.sys.push(c)
+		f.sys.push(&c)
 		f.notify()
 		return
 	}
@@ -395,7 +395,7 @@ func (m *MSC) PushSystem(c Command) {
 func (m *MSC) PushRemoteAccess(c Command) {
 	if f := m.ring; f != nil {
 		f.checkOpen()
-		f.remote.push(c)
+		f.remote.push(&c)
 		f.notify()
 		return
 	}
@@ -443,8 +443,8 @@ func (m *MSC) PushUserBatch(cmds []Command) {
 	}
 	if f := m.ring; f != nil {
 		f.checkOpen()
-		for _, c := range cmds {
-			f.user.push(c)
+		for i := range cmds {
+			f.user.push(&cmds[i])
 		}
 		f.notify()
 		return

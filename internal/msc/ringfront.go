@@ -52,9 +52,9 @@ func newRingQueue(name string, capacityWords int) *ringQueue {
 
 // push appends a command; single producer. It never rejects: overflow
 // goes to the DRAM spill buffer.
-func (q *ringQueue) push(c Command) {
+func (q *ringQueue) push(c *Command) {
 	q.pushes.Add(1)
-	if q.cmds.Push(c) {
+	if q.cmds.PushFrom(c) {
 		if q.onSpill != nil {
 			q.onSpill(q.name, 1)
 		}
@@ -68,10 +68,10 @@ func (q *ringQueue) push(c Command) {
 }
 
 // pop removes the oldest command into *dst (straight into the
-// caller's batch: a Command is 21 words, and every hand-off by value
-// copies it); single consumer.
+// caller's batch: a Command is 20 words, 160 B, and every hand-off by
+// value copies it); single consumer.
 func (q *ringQueue) pop(dst *Command) (ok bool) {
-	*dst, ok = q.cmds.Pop()
+	ok = q.cmds.PopInto(dst)
 	if q.staged > 0 {
 		q.staged--
 	} else {

@@ -15,8 +15,8 @@ import (
 // older than spill entries. The consumer never refills the ring (that
 // would make it a second producer); it stages spilled items into a
 // consumer-local buffer served before the ring. This is the only copy
-// of that algorithm: tnet's RingLink and the MSC+ send queues
-// (msc.NewRing) both store their items here.
+// of that algorithm; the MSC+ send queues (msc.NewRing) store their
+// commands here.
 type Overflow[T any] struct {
 	hw *SPSC[T]
 
@@ -50,24 +50,34 @@ func (o *Overflow[T]) SetRefillObserver(fn func(n int)) { o.onRefill = fn }
 
 // Push appends v; it never fails, and reports whether v went to the
 // spill buffer instead of the ring. Single producer.
-func (o *Overflow[T]) Push(v T) (spilled bool) {
-	if o.spillPending.Load() == 0 && o.hw.Push(v) {
+func (o *Overflow[T]) Push(v T) (spilled bool) { return o.PushFrom(&v) }
+
+// PushFrom is Push reading the item through a pointer.
+func (o *Overflow[T]) PushFrom(v *T) (spilled bool) {
+	if o.spillPending.Load() == 0 && o.hw.PushFrom(v) {
 		return false
 	}
 	o.mu.Lock()
-	o.spill = append(o.spill, v)
+	o.spill = append(o.spill, *v)
 	o.spillPending.Add(1)
 	o.spills.Add(1)
 	o.mu.Unlock()
 	return true
 }
 
-// Pop removes the oldest item. Single consumer. Service order —
-// staged spill, then ring, then a fresh staging pass — is exactly age
-// order under the monotonic spill rule.
+// Pop removes the oldest item. Single consumer.
 func (o *Overflow[T]) Pop() (v T, ok bool) {
+	ok = o.PopInto(&v)
+	return v, ok
+}
+
+// PopInto is Pop writing the item through a pointer; *dst is left
+// untouched when the queue is empty. Service order — staged spill,
+// then ring, then a fresh staging pass — is exactly age order under
+// the monotonic spill rule.
+func (o *Overflow[T]) PopInto(dst *T) bool {
 	if o.stagedHead < len(o.staged) {
-		v = o.staged[o.stagedHead]
+		*dst = o.staged[o.stagedHead]
 		var zero T
 		o.staged[o.stagedHead] = zero
 		o.stagedHead++
@@ -76,21 +86,21 @@ func (o *Overflow[T]) Pop() (v T, ok bool) {
 			o.staged = o.staged[:0]
 			o.stagedHead = 0
 		}
-		return v, true
+		return true
 	}
-	if v, ok = o.hw.Pop(); ok {
-		return v, true
+	if o.hw.PopInto(dst) {
+		return true
 	}
 	if o.spillPending.Load() == 0 {
-		return v, false
+		return false
 	}
 	// The producer may have filled the ring and spilled between the
 	// failed ring pop and the load above; staging now would serve the
 	// spilled item a ring's worth too early. A nonzero spillPending
 	// pins the producer in spill mode, so one more look at the ring is
 	// conclusive: whatever it holds is older than the whole spill.
-	if v, ok = o.hw.Pop(); ok {
-		return v, true
+	if o.hw.PopInto(dst) {
+		return true
 	}
 	o.mu.Lock()
 	n := len(o.spill) - o.spillHead
@@ -116,7 +126,7 @@ func (o *Overflow[T]) Pop() (v T, ok bool) {
 	if o.onRefill != nil {
 		o.onRefill(n)
 	}
-	return o.Pop()
+	return o.PopInto(dst)
 }
 
 // Len reports buffered items; exact for producer or consumer, a

@@ -1,9 +1,8 @@
 // Package ring provides the bounded single-producer single-consumer
-// lock-free ring buffer under the AP1000+ wire rebuild. It models the
-// one hardware structure the paper leans on everywhere: a fixed-size
-// FIFO between exactly two agents (CPU→MSC+ command queues, the
-// T-net's per-link packet buffers), where the producer never blocks
-// the consumer and vice versa. Capacity is a power of two so slot
+// lock-free ring buffer under the MSC+ command queues. It models the
+// hardware structure the paper's PUT/GET interface rests on: a
+// fixed-size FIFO between exactly two agents (the CPU and its MSC+),
+// where the producer never blocks the consumer and vice versa. Capacity is a power of two so slot
 // indexing is a mask, and the hot fields live on separate cache lines
 // so a producer spinning on Push does not false-share with a consumer
 // spinning on Pop.
@@ -16,7 +15,7 @@
 // operations are sequentially consistent, which subsumes the
 // release/acquire pairing needed here). Violating the SPSC contract
 // corrupts the FIFO; multi-producer feeds must serialize externally
-// (see the spill queues in internal/msc and internal/tnet).
+// (see the spill queues in internal/msc).
 package ring
 
 import "sync/atomic"
@@ -60,7 +59,11 @@ func New[T any](capacity int) *SPSC[T] {
 // Push appends v and reports success; false means the ring is full
 // (the caller decides whether to spin, spill, or drop — the AP1000+
 // hardware would raise the send-queue-full interrupt here).
-func (r *SPSC[T]) Push(v T) bool {
+func (r *SPSC[T]) Push(v T) bool { return r.PushFrom(&v) }
+
+// PushFrom is Push reading the item through a pointer, so a large
+// item is copied once, straight into its slot.
+func (r *SPSC[T]) PushFrom(v *T) bool {
 	t := r.tail.Load()
 	if t-r.cachedHead >= uint64(len(r.buf)) {
 		r.cachedHead = r.head.Load()
@@ -68,28 +71,37 @@ func (r *SPSC[T]) Push(v T) bool {
 			return false
 		}
 	}
-	r.buf[t&r.mask] = v
+	r.buf[t&r.mask] = *v
 	r.tail.Store(t + 1)
 	return true
 }
 
 // Pop removes and returns the oldest item; ok is false when the ring
-// is empty. The vacated slot is zeroed so pooled payloads referenced
-// from a popped packet are not pinned by the ring.
+// is empty.
 func (r *SPSC[T]) Pop() (v T, ok bool) {
+	ok = r.PopInto(&v)
+	return v, ok
+}
+
+// PopInto is Pop writing the item through a pointer: it moves the
+// oldest item into *dst and reports whether there was one, leaving
+// *dst untouched when the ring is empty. The vacated slot is zeroed so
+// pooled payloads referenced from a popped packet are not pinned by
+// the ring.
+func (r *SPSC[T]) PopInto(dst *T) bool {
 	h := r.head.Load()
 	if h == r.cachedTail {
 		r.cachedTail = r.tail.Load()
 		if h == r.cachedTail {
-			return v, false
+			return false
 		}
 	}
 	i := h & r.mask
-	v = r.buf[i]
+	*dst = r.buf[i]
 	var zero T
 	r.buf[i] = zero
 	r.head.Store(h + 1)
-	return v, true
+	return true
 }
 
 // Len reports the number of buffered items. It is exact when called

@@ -13,16 +13,17 @@
 //
 //   - Over a link (SetRingWire): cells are partitioned over a small
 //     number of delivery shards, and each ordered pair of shards gets
-//     one Link — an SPSC ring with spill (RingLink). A packet from A
-//     to B in another shard goes over the (shard(A), shard(B)) link
-//     and is delivered by B's owning shard; the link preserves FIFO,
-//     so the A→B stream stays in order. Same-shard traffic is
+//     one Link. A packet from A to B in another shard is staged in
+//     shard(A)'s outbox for shard(B); Flush publishes every staged
+//     batch onto its (shard(A), shard(B)) link with one lock and one
+//     doorbell, and B's owning shard delivers it. Outbox and link are
+//     FIFO, so the A→B stream stays in order. Same-shard traffic is
 //     delivered inline.
 //
 // A fault injector (SetFault) sits in front of both routes: it decides
 // each transmission attempt's fate at the sender, puts the surviving
-// copies on the packet's normal route, and Send reports the fate — the
-// acknowledgement the reliable layer retransmits on.
+// copies on the packet's normal route, and Transmit reports the fate —
+// the acknowledgement the reliable layer retransmits on.
 //
 // Link bandwidth (25 MB/s x 4 links per cell) and hop latency matter
 // only to the timing model (MLSim); here the network accounts traffic
@@ -62,18 +63,19 @@ type Packet struct {
 	FreeOnDeliver bool
 	// Inline delivers on the calling goroutine even where a link
 	// exists, for control packets that must have been applied when
-	// Send returns or that are sent from a goroutine which is not the
-	// link's producer (DSM invalidations and eviction notices). Such a
-	// packet may overtake its stream's packets still on the link, and
-	// its handler runs off the destination's own shard.
+	// Transmit returns or that are sent from a goroutine which does
+	// not own the source's shard (DSM invalidations and eviction
+	// notices). Such a packet may overtake its stream's packets still
+	// staged or on the link, and its handler runs off the
+	// destination's own shard.
 	Inline bool
 }
 
 // Handler consumes a packet at its destination cell — the receive
 // controller of the destination's MSC+. It reports whether the packet
 // was accepted (checksum verified, fresh or duplicate, DMA succeeded).
-// Only an inline delivery's verdict reaches Send's caller; a packet
-// that crossed a link is judged after Send has returned.
+// Only an inline delivery's verdict reaches Transmit's caller; a
+// packet that crossed a link is judged after Transmit has returned.
 type Handler func(Packet) bool
 
 // Stats aggregates network traffic.
@@ -117,31 +119,43 @@ type Network struct {
 	// pair links (SetRingWire).
 	ring *ringWire
 	// partOf, when non-nil, maps each cell to its machine partition;
-	// a cross-partition Send panics — partitions have physically
+	// a cross-partition Transmit panics — partitions have physically
 	// disjoint T-net routing.
 	partOf []int32
 }
 
-// ringWire is the link matrix: one Link per ordered shard pair.
+// ringWire is the link matrix: one Link per ordered shard pair, plus
+// each shard's private staging and receive buffers.
 type ringWire struct {
 	shards int
 	// links[consumer][producer]: the conduit from producing shard to
 	// consuming shard.
 	links [][]Link
-	// wake nudges a consuming shard's delivery worker after a
-	// cross-shard enqueue.
+	// shard[s] is owned by shard s's delivery worker.
+	shard []shardBufs
+	// wake nudges a consuming shard's delivery worker after a flush
+	// published onto one of its links.
 	wake func(shard int)
 	// track, when non-nil, counts undelivered cross-shard packets per
-	// destination: +1 before the enqueue, -1 only after the handler
-	// has returned, so a drain barrier on it cannot fire while a
-	// delivery is still executing. The machine points it at the
-	// destination partition's quiesce counter so each partition drains
-	// independently.
+	// destination: charged when Flush publishes them, uncharged only
+	// after their handlers have returned, so a drain barrier on it
+	// cannot fire while a delivery is still executing. The machine
+	// points it at the destination partition's quiesce counter so each
+	// partition drains independently.
 	track func(dst topology.CellID, delta int64)
-	// deliver is DrainInbox's per-packet step, built once here: a
-	// closure built per drain escapes through Link.Drain and would
-	// cost an allocation per cross-shard delivery.
-	deliver func(Packet)
+}
+
+// shardBufs is one delivery shard's private side of the link matrix.
+// Only the shard's worker touches it: no atomics, no lock.
+type shardBufs struct {
+	// out[cons] stages cross-shard packets bound for consuming shard
+	// cons until Flush; dirty lists the consumers with staged packets
+	// in first-staged order.
+	out   [][]Packet
+	dirty []int
+	// in receives DrainInbox's chunks; packets are delivered in place.
+	in []Packet
+	_  [64]byte
 }
 
 // wireShardStats is one shard's traffic counters, padded so shards do
@@ -185,7 +199,7 @@ func (n *Network) Attach(id topology.CellID, h Handler) {
 	n.handlers[id] = h
 }
 
-// SetPartitions installs the cell→partition map. A Send whose source
+// SetPartitions installs the cell→partition map. A Transmit whose source
 // and destination lie in different partitions panics: partitioned
 // multi-user operation gives each partition a physically disjoint
 // slice of the torus, so no route crosses the boundary. Install
@@ -199,8 +213,8 @@ func (n *Network) SetPartitions(of []int32) {
 	n.partOf = of
 }
 
-// SetFault installs the fault injector; every subsequent Send asks it
-// for a wire fate. Install before traffic flows.
+// SetFault installs the fault injector; every subsequent Transmit asks
+// it for a wire fate. Install before traffic flows.
 func (n *Network) SetFault(inj *fault.Injector) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -212,10 +226,11 @@ func (n *Network) SetFault(inj *fault.Injector) {
 
 // SetRingWire arms the link matrix: cells are partitioned over shards
 // delivery shards (cell id mod shards), each ordered shard pair gets
-// one Link with a linkCap-deep fast path, and wake is called with the
-// consuming shard after every cross-shard enqueue. track, when
-// non-nil, counts undelivered cross-shard packets per destination
-// cell (+1 before enqueue, -1 after the handler returns) — the
+// one Link with a linkCap-deep fast path, DrainInbox moves at most
+// linkCap packets per lock, and wake is called with the consuming
+// shard once per Flush that published to it. track, when non-nil,
+// counts undelivered cross-shard packets per destination cell
+// (charged by Flush, uncharged after the handlers return) — the
 // machine's per-partition drain doorbell. mutexLinks selects the
 // reference MutexLink build instead of RingLink. Install before
 // traffic flows.
@@ -228,7 +243,11 @@ func (n *Network) SetRingWire(shards, linkCap int, wake func(shard int), mutexLi
 	if wake == nil {
 		wake = func(int) {}
 	}
-	rw := &ringWire{shards: shards, links: make([][]Link, shards), wake: wake, track: track}
+	rw := &ringWire{shards: shards, links: make([][]Link, shards), shard: make([]shardBufs, shards), wake: wake, track: track}
+	for s := range rw.shard {
+		rw.shard[s].out = make([][]Packet, shards)
+		rw.shard[s].in = make([]Packet, max(linkCap, 1))
+	}
 	for cons := range rw.links {
 		rw.links[cons] = make([]Link, shards)
 		for prod := range rw.links[cons] {
@@ -239,28 +258,36 @@ func (n *Network) SetRingWire(shards, linkCap int, wake func(shard int), mutexLi
 			}
 		}
 	}
-	rw.deliver = func(p Packet) {
-		n.deliver(p)
-		if track != nil {
-			track(p.Head.Dst, -1)
-		}
-	}
 	n.ring = rw
 	n.stats = make([]wireShardStats, shards)
 }
 
-// Send routes a packet to its destination. Ordering guarantee: calls
-// from the same goroutine to the same destination are processed in
-// call order (static routing, in-order links). Without a link matrix,
-// and for same-shard traffic with one, the destination's receive
-// controller runs on the calling goroutine and Send reports whether it
-// accepted the packet; a cross-shard packet rides its link, the
-// consuming shard is woken, and Send reports true. With a fault plan
+// Send routes a packet to its destination: Transmit, then Flush of
+// the source's shard, so a cross-shard packet is on its link when Send
+// returns. Ordering guarantee: calls from the same goroutine to the
+// same destination are processed in call order (static routing,
+// in-order links).
+func (n *Network) Send(p Packet) bool {
+	ok := n.Transmit(&p)
+	if rw := n.ring; rw != nil {
+		n.Flush(int(p.Head.Src) % rw.shards)
+	}
+	return ok
+}
+
+// Transmit routes a packet to its destination; with a link matrix the
+// caller must own the source cell's shard. Without a link matrix, and
+// for same-shard traffic with one, the destination's receive controller runs on the calling
+// goroutine and Transmit reports whether it accepted the packet; a
+// cross-shard packet is copied into the shard's outbox for its
+// consumer and Transmit reports true — it runs no handler, charges no
+// quiesce counter and rings no doorbell until Flush. With a fault plan
 // installed the injector first decides the attempt's fate: the packet
 // may be dropped, corrupted, duplicated or held back before it is
 // routed, and the reliable layer reads false as "retransmit". Every
-// call counts as one wire message (attempts, not unique packets).
-func (n *Network) Send(p Packet) bool {
+// call counts as one wire message (attempts, not unique packets). The
+// packet is read, never retained.
+func (n *Network) Transmit(p *Packet) bool {
 	src, dst := p.Head.Src, p.Head.Dst
 	if !n.torus.Valid(dst) {
 		panic(fmt.Sprintf("tnet: send to invalid cell %d", dst))
@@ -282,34 +309,75 @@ func (n *Network) Send(p Packet) bool {
 	return n.route(p)
 }
 
-// route puts one copy of a packet on its path: the cross-shard link
-// when there is one, else inline delivery.
-func (n *Network) route(p Packet) bool {
+// route puts one copy of a packet on its path: the producing shard's
+// outbox for a cross-shard destination, else inline delivery.
+func (n *Network) route(p *Packet) bool {
 	if rw := n.ring; rw != nil && !p.Inline {
-		dst := p.Head.Dst
-		if prod, cons := int(p.Head.Src)%rw.shards, int(dst)%rw.shards; prod != cons {
-			// Count before the enqueue: once the packet is in the link
-			// the consumer may deliver and uncount it at any moment.
-			if rw.track != nil {
-				rw.track(dst, 1)
+		if prod, cons := int(p.Head.Src)%rw.shards, int(p.Head.Dst)%rw.shards; prod != cons {
+			sb := &rw.shard[prod]
+			if len(sb.out[cons]) == 0 {
+				sb.dirty = append(sb.dirty, cons)
 			}
-			rw.links[cons][prod].Enqueue(p)
-			rw.wake(cons)
+			sb.out[cons] = append(sb.out[cons], *p)
 			return true
 		}
 	}
 	return n.deliver(p)
 }
 
+// Flush publishes every packet staged by shard prod: per consumer, it
+// charges track once per run of packets bound for one partition,
+// appends the batch to the link with one lock and rings the
+// consumer's doorbell once. Only prod's owner may call it. A no-op
+// without a link matrix.
+func (n *Network) Flush(prod int) {
+	rw := n.ring
+	if rw == nil {
+		return
+	}
+	sb := &rw.shard[prod]
+	for _, cons := range sb.dirty {
+		ps := sb.out[cons]
+		// Charge before publishing: once a packet is on the link the
+		// consumer may deliver and uncharge it at any moment.
+		n.charge(ps, 1)
+		rw.links[cons][prod].publish(ps)
+		clear(ps)
+		sb.out[cons] = ps[:0]
+		rw.wake(cons)
+	}
+	sb.dirty = sb.dirty[:0]
+}
+
+// charge applies sign·len(run) to track for each run of consecutive
+// packets bound for one partition.
+func (n *Network) charge(ps []Packet, sign int64) {
+	track := n.ring.track
+	if track == nil {
+		return
+	}
+	of := n.partOf
+	for i := 0; i < len(ps); {
+		j := len(ps)
+		if of != nil {
+			part := of[ps[i].Head.Dst]
+			for j = i + 1; j < len(ps) && of[ps[j].Head.Dst] == part; j++ {
+			}
+		}
+		track(ps[i].Head.Dst, sign*int64(j-i))
+		i = j
+	}
+}
+
 // deliver hands a packet to its destination's receive controller and,
 // when the sender transferred ownership, returns the payload to its
 // pool.
-func (n *Network) deliver(p Packet) bool {
+func (n *Network) deliver(p *Packet) bool {
 	h := n.handlers[p.Head.Dst]
 	if h == nil {
 		panic(fmt.Sprintf("tnet: cell %d has no receive controller", p.Head.Dst))
 	}
-	ok := h(p)
+	ok := h(*p)
 	if p.FreeOnDeliver && p.Payload != nil {
 		p.Payload.Release()
 	}
@@ -317,17 +385,42 @@ func (n *Network) deliver(p Packet) bool {
 }
 
 // DrainInbox delivers up to max pending packets destined for the
-// given consuming shard (across all producing shards' links) and
-// reports how many. Only the shard's owning worker may call it — it
-// is the consumer side of the shard's SPSC links.
+// given consuming shard, in total across all producing shards' links,
+// and reports how many; max <= 0 drains everything pending. It takes
+// at most linkCap packets per lock into the shard's receive buffer
+// and delivers them in place; after each chunk it flushes what the
+// handlers transmitted (atomic replies, store acks) and only then
+// uncharges the delivered packets, so the quiesce count never drops
+// to zero under a staged reply. Only the shard's owning worker may
+// call it — it is the consumer side of the shard's links.
 func (n *Network) DrainInbox(shard, max int) int {
 	rw := n.ring
 	if rw == nil {
 		return 0
 	}
+	in := rw.shard[shard].in
 	total := 0
 	for _, l := range rw.links[shard] {
-		total += l.Drain(max, rw.deliver)
+		for max <= 0 || total < max {
+			lim := len(in)
+			if max > 0 {
+				lim = min(lim, max-total)
+			}
+			k := l.take(in[:lim])
+			if k == 0 {
+				break
+			}
+			for i := range in[:k] {
+				n.deliver(&in[i])
+			}
+			n.Flush(shard)
+			n.charge(in[:k], -1)
+			clear(in[:k])
+			total += k
+			if k < lim {
+				break
+			}
+		}
 	}
 	return total
 }
@@ -341,7 +434,7 @@ func (n *Network) DrainInbox(shard, max int) int {
 // attempt of that stream, so a held packet always arrives later than a
 // successor from its own stream — an observable reorder that the
 // receive-side dedup then collapses.
-func (n *Network) faultySend(inj *fault.Injector, p Packet) bool {
+func (n *Network) faultySend(inj *fault.Injector, p *Packet) bool {
 	key := streamKey{p.Head.Src, p.Head.Dst, p.Head.Op}
 	fate := inj.Decide(int(p.Head.Src), int(p.Head.Dst), int(p.Head.Op))
 	switch fate.Kind {
@@ -349,13 +442,14 @@ func (n *Network) faultySend(inj *fault.Injector, p Packet) bool {
 		return false
 	case fault.KindReorder:
 		n.mu.Lock()
-		n.limbo[key] = append(n.limbo[key], p)
+		n.limbo[key] = append(n.limbo[key], *p)
 		n.mu.Unlock()
 		// The sender sees a timeout and retransmits; the held copy
 		// arrives later as a duplicate.
 		return false
 	case fault.KindCorrupt:
-		n.route(corruptPacket(p, fate.CorruptBit))
+		bad := corruptPacket(*p, fate.CorruptBit)
+		n.route(&bad)
 		return false
 	case fault.KindDup:
 		ok := n.route(p)
@@ -395,8 +489,8 @@ func (n *Network) releaseHeld(key streamKey) {
 	}
 	delete(n.limbo, key)
 	n.mu.Unlock()
-	for _, q := range held {
-		n.route(q)
+	for i := range held {
+		n.route(&held[i])
 	}
 }
 
