@@ -6,10 +6,14 @@
 # detector) and the deterministic goldens: the paper's tables and
 # MLSim's bit-identical replays. The exact-count gates
 # (hot counter, >256-cell ring, coalesced command stream) rerun on one
-# core so their verdict does not depend on the host's. The bench module is
-# vetted and tested on its own lines: it compiles against internal/
-# APIs but the root ./... does not see it. CI and pre-commit should
-# run `make verify`.
+# core so their verdict does not depend on the host's. The PGAS
+# overflow-order gate reruns under -race on one core and on four: the
+# aggregator reuses its outgoing regions on the strength of the send
+# flag wait, and the gate's verdict must not depend on the host's core
+# count. BenchmarkAggregator runs once so its table cannot rot. The
+# bench module is vetted and tested on its own lines: it compiles
+# against internal/ APIs but the root ./... does not see it. CI and
+# pre-commit should run `make verify`.
 
 GO ?= go
 
@@ -63,6 +67,9 @@ verify:
 	$(GO) test -run 'TestPutIssueZeroAllocUnobserved|TestBatchIssueZeroAllocUnobserved|TestStridePutZeroAllocUnobserved' .
 	$(GO) test -run TestDSMCacheHitZeroAlloc ./internal/dsm/
 	$(GO) test -run TestPGASAggregatedZeroAlloc ./internal/pgas/
+	GOMAXPROCS=1 $(GO) test -race -run TestAggOverflowOrder ./internal/pgas/
+	GOMAXPROCS=4 $(GO) test -race -run TestAggOverflowOrder ./internal/pgas/
+	$(GO) test -run '^$$' -bench BenchmarkAggregator -benchtime=1x ./internal/pgas/
 	$(GO) test -run 'TestTablesDeterministicOrder|TestReplayGolden' ./internal/stats/ ./internal/mlsim/
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'TestAtomicHotCounterMessages|TestNeighborRingAtScale|TestCoalesceCommandCounts' . ./internal/machine/
 	$(MAKE) chaos

@@ -118,6 +118,58 @@ func TestMMUMapTranslate(t *testing.T) {
 	}
 }
 
+// TestMMUTranslateRange pins the S3.2 illegal-address check at the
+// edges of the 64-bit address space: a range whose end wraps past
+// 2^64 must fault (and count the fault) instead of translating, and a
+// range that ends exactly at 2^64 is checked like any other.
+func TestMMUTranslateRange(t *testing.T) {
+	top := mem.Addr(math.MaxUint64 - mem.PageSize + 1) // the last page
+	for _, c := range []struct {
+		name      string
+		mapTop    bool
+		addr      mem.Addr
+		size      int64
+		wantFault bool
+	}{
+		{"mapped", false, 0x1000, 8192, false},
+		{"past mapping", false, 0x1000, 8193, true},
+		{"wrap by one byte", true, math.MaxUint64 - 7, 9, true},
+		{"wrap by a page", true, math.MaxUint64 - 7, 16, true},
+		{"size MaxInt64", false, 0x1000, math.MaxInt64, true},
+		{"size MaxInt64 from the top", true, top, math.MaxInt64, true},
+		{"exact fit, top page unmapped", false, top, mem.PageSize, true},
+		{"exact fit, top page mapped", true, top, mem.PageSize, false},
+		{"last byte, top page mapped", true, math.MaxUint64, 1, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewMMU(DefaultTLB)
+			m.Map(0x1000, 8192)
+			if c.mapTop {
+				m.Map(top, mem.PageSize)
+			}
+			_, err := m.Translate(c.addr, c.size)
+			if !c.wantFault {
+				if err != nil {
+					t.Fatalf("Translate(%#x, %d) = %v, want no fault", c.addr, c.size, err)
+				}
+				if !m.Mapped(c.addr, c.size) {
+					t.Errorf("Mapped(%#x, %d) = false", c.addr, c.size)
+				}
+				return
+			}
+			if _, ok := err.(*PageFaultError); !ok {
+				t.Fatalf("Translate(%#x, %d) error = %v (%T), want *PageFaultError", c.addr, c.size, err, err)
+			}
+			if f := m.Stats().Faults; f != 1 {
+				t.Errorf("Faults = %d, want 1", f)
+			}
+			if m.Mapped(c.addr, c.size) {
+				t.Errorf("Mapped(%#x, %d) = true", c.addr, c.size)
+			}
+		})
+	}
+}
+
 func TestMMUOffsetsPreserved(t *testing.T) {
 	m := NewMMU(DefaultTLB)
 	m.Map(0x4000, 4096)

@@ -124,6 +124,12 @@ func (m *MMU) Translate(addr mem.Addr, size int64) (phys uint64, err error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// A range that runs past the top of the address space would wrap
+	// last below first and skip the page check entirely.
+	if uint64(size-1) > ^uint64(addr) {
+		m.stats.Faults++
+		return 0, &PageFaultError{Addr: addr, Size: size}
+	}
 	first := uint64(addr) / mem.PageSize
 	last := (uint64(addr) + uint64(size) - 1) / mem.PageSize
 	var frame0 uint64

@@ -14,7 +14,12 @@ import (
 // The aggregation layer is the repo's exstack: fine-grained PGAS
 // operations are not issued one message at a time but packed into
 // per-destination buffers of 3-word packets, and exchanged in bulk
-// synchronous rounds (Advance). One round ships at most one PUT per
+// synchronous rounds (Advance). The buffer is the outgoing region
+// itself: a push encodes its packet in place at the destination's
+// cursor in the PE's out segment, and only packets beyond the
+// region's capacity wait in a per-destination overflow queue, which
+// refills the region in FIFO order once the round's send flag shows
+// the DMA has captured it. One round ships at most one PUT per
 // (src,dst) pair — so a round's wire cost is O(P) messages per cell
 // regardless of how many fine-grained operations it carries — into a
 // per-source mailbox region on the destination, where the owner
@@ -50,6 +55,11 @@ const packetWords = 3
 
 // DefaultAggPackets is the default per-destination region capacity.
 const DefaultAggPackets = 256
+
+// tagChunk is the number of split-phase completions allocated at a
+// time. Chunks never move, so a tag addresses its entry as
+// tab[tag/tagChunk][tag%tagChunk].
+const tagChunk = 1024
 
 // slot field bounds: op takes bits 0..3, array id bits 4..15, slot
 // bits 16..63.
@@ -141,19 +151,25 @@ type AggPE struct {
 	sendFlag mc.FlagID
 	rounds   int64
 
-	// Per-destination packet queues (flattened 3-word packets), with
-	// a consumed-word head so a region-full round does not reshuffle
-	// the slice. Push never blocks: overflow simply waits for a later
-	// round.
-	q      [][]uint64
-	qh     []int
-	queued int64
+	// fill[d] counts the packets encoded in region d of outB this
+	// round. Packets past the region's capacity wait in over[d]
+	// (flattened 3-word packets, consumed from overHead[d]) and refill
+	// the region in FIFO order after it ships. Push never blocks.
+	// queued counts packed and overflowed packets until they ship.
+	fill     []int64
+	over     [][]uint64
+	overHead []int
+	queued   int64
 
-	// Split-phase fetch completions: tab entries addressed by the tag
-	// riding the packet, recycled through a free list.
-	tab         []aggWait
+	// Split-phase fetch completions: fixed chunks of tagChunk entries
+	// addressed by the tag riding the packet, recycled through a free
+	// list that grows a chunk at a time.
+	tab         [][]aggWait
 	free        []int32
 	outstanding int64
+
+	// slotsOn caches each array's SlotsOn(me), by array id.
+	slotsOn []int64
 
 	obs      *obs.CellCounters
 	applyErr error
@@ -164,8 +180,9 @@ type AggPE struct {
 func (ag *Aggregator) Bind(pe *PE) (*AggPE, error) {
 	a := &AggPE{
 		ag: ag, pe: pe, me: pe.me, np: pe.np,
-		q:  make([][]uint64, pe.np),
-		qh: make([]int, pe.np),
+		fill:     make([]int64, pe.np),
+		over:     make([][]uint64, pe.np),
+		overHead: make([]int, pe.np),
 	}
 	var err error
 	a.outSeg, a.outB, err = pe.cell.AllocBytes("pgas.aggout", int64(pe.np)*ag.regBytes)
@@ -198,13 +215,26 @@ func (a *AggPE) push(op uint64, s *Shared, i, val int64, tag uint64) error {
 	if slot >= maxSlot {
 		return fmt.Errorf("pgas: %s: slot %d exceeds packet field", s.name, slot)
 	}
-	d := int(s.lay.Owner(i))
-	a.q[d] = append(a.q[d], op|uint64(s.id)<<4|uint64(slot)<<16, uint64(val), tag)
+	a.pack(int(s.lay.Owner(i)), op|uint64(s.id)<<4|uint64(slot)<<16, uint64(val), tag)
+	return nil
+}
+
+// pack encodes one packet at d's region cursor, or queues it behind
+// the region when the region is full.
+func (a *AggPE) pack(d int, w0, w1, w2 uint64) {
+	if n := a.fill[d]; n < a.ag.packets {
+		off := int64(d)*a.ag.regBytes + 8 + n*packetWords*8
+		binary.LittleEndian.PutUint64(a.outB[off:], w0)
+		binary.LittleEndian.PutUint64(a.outB[off+8:], w1)
+		binary.LittleEndian.PutUint64(a.outB[off+16:], w2)
+		a.fill[d] = n + 1
+	} else {
+		a.over[d] = append(a.over[d], w0, w1, w2)
+	}
 	a.queued++
 	if a.obs != nil {
 		a.obs.AggPushes.Add(1)
 	}
-	return nil
 }
 
 // Put buffers a store of v into element i.
@@ -219,17 +249,23 @@ func (a *AggPE) Min(s *Shared, i, v int64) error { return a.push(aopMin, s, i, v
 // Max buffers an atomic signed max of element i against v.
 func (a *AggPE) Max(s *Shared, i, v int64) error { return a.push(aopMax, s, i, v, 0) }
 
-// newTag registers a completion and returns its tag.
+// newTag registers a completion and returns its tag. Freed tags are
+// reused last-in first-out; when none is free a new chunk's tags are
+// handed out in ascending order.
 func (a *AggPE) newTag(w aggWait) uint64 {
-	var idx int32
-	if n := len(a.free); n > 0 {
-		idx = a.free[n-1]
-		a.free = a.free[:n-1]
-	} else {
-		idx = int32(len(a.tab))
-		a.tab = append(a.tab, aggWait{})
+	n := len(a.free)
+	if n == 0 {
+		base := int32(len(a.tab) * tagChunk)
+		a.tab = append(a.tab, make([]aggWait, tagChunk))
+		a.free = make([]int32, 0, len(a.tab)*tagChunk)
+		for k := int32(tagChunk - 1); k >= 0; k-- {
+			a.free = append(a.free, base+k)
+		}
+		n = tagChunk
 	}
-	a.tab[idx] = w
+	idx := a.free[n-1]
+	a.free = a.free[:n-1]
+	a.tab[idx/tagChunk][idx%tagChunk] = w
 	a.outstanding++
 	return uint64(idx)
 }
@@ -255,31 +291,40 @@ func (a *AggPE) FetchAdd(s *Shared, i, delta int64, fn func(old int64)) error {
 
 // respond pushes a response packet back to src's completion tag.
 func (a *AggPE) respond(src int, tag uint64, val int64) {
-	a.q[src] = append(a.q[src], aopResp, uint64(val), tag)
-	a.queued++
-	if a.obs != nil {
-		a.obs.AggPushes.Add(1)
-	}
+	a.pack(src, aopResp, uint64(val), tag)
 }
 
-// fillRegion packs up to the region capacity of dst-bound packets
-// into an out (or self-mailbox) region and returns the packet count.
-func (a *AggPE) fillRegion(reg []byte, d int) int64 {
-	n := int64(len(a.q[d])-a.qh[d]) / packetWords
+// ship seals region d for sending: it writes the count word and
+// returns the packet count and the region's offset in outB. The
+// packets leave the queued count as they ship.
+func (a *AggPE) ship(d int) (n, base int64) {
+	n, base = a.fill[d], int64(d)*a.ag.regBytes
+	binary.LittleEndian.PutUint64(a.outB[base:], uint64(n))
+	a.queued -= n
+	return n, base
+}
+
+// refill empties region d, whose packets have shipped, and moves up
+// to a region's capacity of d's overflow into it in FIFO order.
+func (a *AggPE) refill(d int) {
+	a.fill[d] = 0
+	h, q := a.overHead[d], a.over[d]
+	if h == len(q) {
+		return
+	}
+	n := int64(len(q)-h) / packetWords
 	if n > a.ag.packets {
 		n = a.ag.packets
 	}
-	binary.LittleEndian.PutUint64(reg, uint64(n))
+	reg := a.outB[int64(d)*a.ag.regBytes+8:]
 	for k := int64(0); k < n*packetWords; k++ {
-		binary.LittleEndian.PutUint64(reg[8+k*8:], a.q[d][a.qh[d]+int(k)])
+		binary.LittleEndian.PutUint64(reg[k*8:], q[h+int(k)])
 	}
-	a.qh[d] += int(n * packetWords)
-	if a.qh[d] == len(a.q[d]) {
-		a.q[d] = a.q[d][:0]
-		a.qh[d] = 0
+	a.fill[d] = n
+	if h += int(n * packetWords); h == len(q) {
+		a.over[d], h = q[:0], 0
 	}
-	a.queued -= n
-	return n
+	a.overHead[d] = h
 }
 
 // Advance runs one collective exchange round: pack and ship one
@@ -298,9 +343,7 @@ func (a *AggPE) Advance() error {
 		if d == a.me {
 			continue
 		}
-		base := int64(d) * a.ag.regBytes
-		reg := a.outB[base : base+a.ag.regBytes]
-		n := a.fillRegion(reg, d)
+		n, base := a.ship(d)
 		sent += n
 		size := (1 + n*packetWords) * 8
 		a.pe.cell.SanWrite(a.outSeg.Base()+mem.Addr(base), mem.Contiguous(size), "pgas agg pack")
@@ -314,16 +357,26 @@ func (a *AggPE) Advance() error {
 	if err := b.Commit(); err != nil {
 		return err
 	}
-	// My own packets skip the wire: fill the self mailbox region
-	// directly.
-	selfBase := int64(a.me) * a.ag.regBytes
-	a.fillRegion(a.ag.mailB[a.me][selfBase:selfBase+a.ag.regBytes], a.me)
+	// My own packets skip the wire: one copy moves the self region
+	// into my mailbox, and the region refills at once because no DMA
+	// reads it. Applying them in place instead would let a response
+	// to myself overwrite the region being applied.
+	n, base := a.ship(a.me)
+	copy(a.ag.mailB[a.me][base:], a.outB[base:base+(1+n*packetWords)*8])
+	a.refill(a.me)
 	// Exact flag accounting: every peer sends exactly one region per
 	// round (empty rounds still ship the count word), so arrival and
 	// send-completion targets are both rounds*(P-1).
 	target := a.rounds * int64(a.np-1)
 	a.pe.comm.WaitFlag(a.ag.mbFlag, target)
 	a.pe.comm.WaitFlag(a.sendFlag, target)
+	// The send flag proves every outgoing region captured: from here
+	// they take the next round's packets, overflow first.
+	for d := 0; d < a.np; d++ {
+		if d != a.me {
+			a.refill(d)
+		}
+	}
 	applied := int64(0)
 	for src := 0; src < a.np; src++ {
 		applied += a.apply(src)
@@ -353,8 +406,9 @@ func (a *AggPE) apply(src int) int64 {
 		op := w0 & 0xf
 		if op == aopResp {
 			idx := int32(tag)
-			w := a.tab[idx]
-			a.tab[idx] = aggWait{}
+			e := &a.tab[idx/tagChunk][idx%tagChunk]
+			w := *e
+			*e = aggWait{}
 			a.free = append(a.free, idx)
 			a.outstanding--
 			if w.ptr != nil {
@@ -366,13 +420,19 @@ func (a *AggPE) apply(src int) int64 {
 			continue
 		}
 		arr := int(w0 >> 4 & 0xfff)
-		if arr >= len(a.ag.h.arrays) {
-			a.fail(fmt.Errorf("pgas: apply: bad array id %d from cell %d", arr, src))
-			return k
+		if arr >= len(a.slotsOn) {
+			arrays := a.ag.h.arrays
+			if arr >= len(arrays) {
+				a.fail(fmt.Errorf("pgas: apply: bad array id %d from cell %d", arr, src))
+				return k
+			}
+			for _, s := range arrays[len(a.slotsOn):] {
+				a.slotsOn = append(a.slotsOn, s.lay.SlotsOn(int64(a.me)))
+			}
 		}
 		s := a.ag.h.arrays[arr]
 		slot := int64(w0 >> 16)
-		if slot >= s.lay.SlotsOn(int64(a.me)) {
+		if slot >= a.slotsOn[arr] {
 			a.fail(fmt.Errorf("pgas: apply: %s slot %d out of range on cell %d (from cell %d)", s.name, slot, a.me, src))
 			return k
 		}
@@ -440,13 +500,13 @@ func (a *AggPE) Quiesced() error {
 	if a.queued != 0 || a.outstanding != 0 {
 		return fmt.Errorf("pgas: cell %d not quiesced: %d queued, %d outstanding", a.me, a.queued, a.outstanding)
 	}
-	for d := range a.q {
-		if len(a.q[d]) != 0 || a.qh[d] != 0 {
-			return fmt.Errorf("pgas: cell %d not quiesced: dst %d holds %d words (head %d)", a.me, d, len(a.q[d]), a.qh[d])
+	for d := range a.fill {
+		if a.fill[d] != 0 || len(a.over[d]) != 0 {
+			return fmt.Errorf("pgas: cell %d not quiesced: dst %d holds %d packed packets and %d overflow words", a.me, d, a.fill[d], len(a.over[d]))
 		}
 	}
-	if len(a.free) != len(a.tab) {
-		return fmt.Errorf("pgas: cell %d not quiesced: %d of %d response tags leaked", a.me, len(a.tab)-len(a.free), len(a.tab))
+	if tags := len(a.tab) * tagChunk; len(a.free) != tags {
+		return fmt.Errorf("pgas: cell %d not quiesced: %d of %d response tags leaked", a.me, tags-len(a.free), tags)
 	}
 	return nil
 }
