@@ -10,10 +10,12 @@
 # overflow-order gate reruns under -race on one core and on four: the
 # aggregator reuses its outgoing regions on the strength of the send
 # flag wait, and the gate's verdict must not depend on the host's core
-# count. BenchmarkAggregator runs once so its table cannot rot. The
-# bench module is vetted and tested on its own lines: it compiles
-# against internal/ APIs but the root ./... does not see it. CI and
-# pre-commit should run `make verify`.
+# count. The MSC+ front tests (one CPU producer on the SPSC send
+# rings, several reply producers, one consumer) run the same way, for
+# the same reason. BenchmarkAggregator runs once so its table cannot
+# rot. The bench module is vetted and tested on its own lines: it
+# compiles against internal/ APIs but the root ./... does not see it.
+# CI and pre-commit should run `make verify`.
 
 GO ?= go
 
@@ -64,6 +66,8 @@ verify:
 	GOMAXPROCS=4 $(GO) test -race -run TestWireDifferential .
 	GOMAXPROCS=1 $(GO) test -race -run '$(STAGING_TESTS)' ./internal/tnet/
 	GOMAXPROCS=4 $(GO) test -race -run '$(STAGING_TESTS)' ./internal/tnet/
+	GOMAXPROCS=1 $(GO) test -race -run 'TestRingFront|TestMSC' ./internal/msc/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestRingFront|TestMSC' ./internal/msc/
 	$(GO) test -run 'TestPutIssueZeroAllocUnobserved|TestBatchIssueZeroAllocUnobserved|TestStridePutZeroAllocUnobserved' .
 	$(GO) test -run TestDSMCacheHitZeroAlloc ./internal/dsm/
 	$(GO) test -run TestPGASAggregatedZeroAlloc ./internal/pgas/

@@ -55,6 +55,10 @@ func (c *Cell) deliverCreg(addr mem.Addr, payload *mem.Payload, exec int) bool {
 		c.Cregs.Store32(idx, binary.LittleEndian.Uint32(data))
 		return true
 	case 8:
+		if idx%2 != 0 || idx+1 >= mc.NumCommRegs {
+			c.OS.fault(fmt.Errorf("machine: cell %d: 8-byte register store needs an even register below %d, got %d", c.id, mc.NumCommRegs-1, idx))
+			return false
+		}
 		if vals, ok := payload.Float64s(); ok {
 			sanStore(2)
 			c.Cregs.Store64(idx, math.Float64bits(vals[0]))

@@ -86,13 +86,17 @@ func TestCregBadAddressFaults(t *testing.T) {
 		c.RemoteStore(1, CregSpaceBase+mem.Addr(mc.NumCommRegs*4), bseg.Base(), 4)
 		// Wrong size (registers accept 4 or 8 bytes).
 		c.RemoteStore(1, CregAddr(0), fseg.Base(), 16)
+		// 8-byte store to the last register: its pair runs off the file.
+		c.RemoteStore(1, CregAddr(mc.NumCommRegs-1), bseg.Base(), 8)
+		// 8-byte store to an odd register: a pair must start even.
+		c.RemoteStore(1, CregAddr(1), bseg.Base(), 8)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(m.Cell(1).OS.Faults()); got != 3 {
-		t.Errorf("fault log entries = %d, want 3: %v", got, m.Cell(1).OS.Faults())
+	if got := len(m.Cell(1).OS.Faults()); got != 5 {
+		t.Errorf("fault log entries = %d, want 5: %v", got, m.Cell(1).OS.Faults())
 	}
 	// None of the bad stores may have set a p-bit.
 	for idx := 0; idx < mc.NumCommRegs; idx++ {

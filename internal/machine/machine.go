@@ -64,7 +64,8 @@ type Config struct {
 	Width, Height int
 	// MemoryPerCell is DRAM per cell in bytes (default 16 MB).
 	MemoryPerCell int64
-	// QueueWords sizes the MSC+ queues (default 64, the hardware's).
+	// QueueWords sizes the MSC+ queues (default 64, the hardware's);
+	// it must pass msc.CheckQueueWords.
 	QueueWords int
 	// TraceApp, when non-empty, enables trace recording under this
 	// application name.
@@ -124,8 +125,8 @@ func (c *Config) fill() error {
 	if c.QueueWords == 0 {
 		c.QueueWords = msc.QueueWords
 	}
-	if c.QueueWords < msc.CommandWords {
-		return fmt.Errorf("machine: QueueWords %d below one %d-word command", c.QueueWords, msc.CommandWords)
+	if err := msc.CheckQueueWords(c.QueueWords); err != nil {
+		return fmt.Errorf("machine: QueueWords: %w", err)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("machine: negative worker count %d", c.Workers)

@@ -9,6 +9,7 @@ package msc
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ap1000plus/internal/mc"
 	"ap1000plus/internal/mem"
@@ -181,7 +182,7 @@ type QueueStats struct {
 // in DRAM. When the queue empties, the MSC+ interrupts the operating
 // system, which then loads data from the buffer in DRAM back into the
 // queue" (S4.1). Queue is not safe for concurrent use on its own; the
-// owning MSC serializes access.
+// MSC guards its two reply queues with one lock.
 type Queue struct {
 	name     string
 	capacity int // commands (QueueWords / CommandWords)
@@ -198,9 +199,8 @@ type Queue struct {
 	stats     QueueStats
 	// onSpill/onRefill, when set, observe DRAM spills and OS refill
 	// interrupts (observability layer). Called with the owner's lock
-	// held; they must not call back into the queue. onSpill fires once
-	// per Push/PushBatch with the number of commands that overflowed,
-	// so a batch costs one observer event, not one per command.
+	// held; they must not call back into the queue. Each receives the
+	// command count of the triggering push or refill.
 	onSpill  func(queue string, n int)
 	onRefill func(queue string, n int)
 }
@@ -241,30 +241,6 @@ func (q *Queue) Push(c Command) {
 		return
 	}
 	q.hwPush(c)
-}
-
-// PushBatch appends a run of commands back-to-back: the capacity check
-// and the spill observer fire per batch instead of per command. The
-// overflow semantics are identical to len(cmds) Push calls — commands
-// fill the hardware ring until it is full, the rest spill to DRAM in
-// order.
-func (q *Queue) PushBatch(cmds []Command) {
-	q.stats.Pushes += int64(len(cmds))
-	spilled := 0
-	for _, c := range cmds {
-		if q.spillLen() > 0 || q.hwLen >= q.capacity {
-			q.spill = append(q.spill, c)
-			spilled++
-			continue
-		}
-		q.hwPush(c)
-	}
-	if spilled > 0 {
-		q.stats.Spills += int64(spilled)
-		if q.onSpill != nil {
-			q.onSpill(q.name, spilled)
-		}
-	}
 }
 
 // Pop removes the oldest command. When the hardware queue drains and
@@ -317,119 +293,122 @@ func (q *Queue) Stats() QueueStats { return q.stats }
 // Name reports the queue's label.
 func (q *Queue) Name() string { return q.name }
 
+// CheckQueueWords reports whether words can size the MSC+ queues: a
+// power-of-two count of at least two commands. The send queues'
+// hardware FIFO is a ring whose slot count is a power of two, at least
+// two (ring.New), while a reply Queue holds exactly words/CommandWords
+// commands; any other size would silently give the send side a deeper
+// FIFO than the reply side.
+func CheckQueueWords(words int) error {
+	n := words / CommandWords
+	switch {
+	case words < CommandWords:
+		return fmt.Errorf("queue of %d words is below one %d-word command", words, CommandWords)
+	case words%CommandWords != 0 || n < 2 || n&(n-1) != 0:
+		return fmt.Errorf("queue of %d words is not a power-of-two count (at least 2) of %d-word commands", words, CommandWords)
+	}
+	return nil
+}
+
 // MSC is one cell's message controller front end: the five queues.
 // The CPU pushes commands; the consumer — the delivery worker that
 // owns the cell — pops them in the hardware's priority order with
-// TryNext/TryNextBatch. New builds the mutex-guarded reference front
-// (any goroutine may push), NewRing the lock-free one the machine
-// runs on.
+// TryNext/TryNextBatch.
 type MSC struct {
-	mu sync.Mutex
-
 	// Send side: "three sending queues for PUT and GET requests
 	// issued by the user, PUT and GET requests from the system, and
-	// remote access" (S4.1).
-	userSend  *Queue
-	sysSend   *Queue
-	remoteAcc *Queue
+	// remote access" (S4.1). Each is an SPSC ring with DRAM spill: its
+	// single producer is the cell's CPU program goroutine (the SPMD
+	// discipline: one program goroutine per cell issues all user,
+	// system and remote-access commands).
+	userSend, sysSend, remoteAcc *ringQueue
 	// Reply side: "two reply queues, one for GET replies, and one for
 	// remote load replies. Remote load replies precede GET replies."
-	getReply   *Queue
-	rloadReply *Queue
+	// Replies are pushed from delivery context, which under inline
+	// transport can be any worker, so these queues share one lock;
+	// replyPending lets the consumer skip it when no reply waits.
+	replyMu      sync.Mutex
+	getReply     *Queue
+	rloadReply   *Queue
+	replyPending atomic.Int64
 
-	closed bool
-
-	// ring, when non-nil, replaces the mutex front end with the
-	// lock-free build (NewRing): send queues become SPSC rings, the
-	// two reply Queues above are shared with it under its own lock,
-	// and every push rings a doorbell.
-	ring *ringFront
+	// notify is the doorbell to the delivery worker that owns this
+	// cell; rung after every push.
+	notify func()
+	closed atomic.Bool
 }
 
-// New builds an MSC+ with the hardware's 64-word queues.
-func New() *MSC { return NewWithQueueWords(QueueWords) }
+// New builds an MSC+ with the hardware's 64-word queues and no
+// doorbell.
+func New() *MSC { return NewRing(QueueWords, nil) }
 
-// NewWithQueueWords builds an MSC+ with a custom queue capacity, used
-// by the queue-depth ablation.
-func NewWithQueueWords(words int) *MSC {
+// NewRing builds an MSC+ whose five queues hold words 32-bit words
+// each; it panics unless CheckQueueWords accepts words. notify is the
+// doorbell rung after every push — the machine points it at the
+// delivery worker that owns the cell; nil rings nothing.
+func NewRing(words int, notify func()) *MSC {
+	if err := CheckQueueWords(words); err != nil {
+		panic("msc: " + err.Error())
+	}
+	if notify == nil {
+		notify = func() {}
+	}
 	return &MSC{
-		userSend:   NewQueue("user-send", words),
-		sysSend:    NewQueue("sys-send", words),
-		remoteAcc:  NewQueue("remote-access", words),
+		userSend:   newRingQueue("user-send", words),
+		sysSend:    newRingQueue("sys-send", words),
+		remoteAcc:  newRingQueue("remote-access", words),
 		getReply:   NewQueue("get-reply", words),
 		rloadReply: NewQueue("rload-reply", words),
+		notify:     notify,
 	}
+}
+
+func (m *MSC) checkOpen() {
+	if m.closed.Load() {
+		panic("msc: push after Close")
+	}
+}
+
+// pushSend enqueues on a send queue; the caller is the cell's single
+// program goroutine.
+func (m *MSC) pushSend(q *ringQueue, c *Command) {
+	m.checkOpen()
+	q.push(c)
+	m.notify()
 }
 
 // PushUser enqueues a user-level PUT/GET command. This is the paper's
 // user interface: the program writes parameters "one-by-one to the
-// special address" with plain stores — no system call. On the ring
-// front, the caller must be the cell's single program goroutine (the
-// SPMD discipline); the queue is an SPSC ring.
-func (m *MSC) PushUser(c Command) {
-	if f := m.ring; f != nil {
-		f.checkOpen()
-		f.user.push(&c)
-		f.notify()
-		return
-	}
-	m.push(m.userSend, c)
-}
+// special address" with plain stores — no system call. The caller must
+// be the cell's single program goroutine (the SPMD discipline); the
+// queue is an SPSC ring.
+func (m *MSC) PushUser(c Command) { m.pushSend(m.userSend, &c) }
 
 // PushSystem enqueues a system-issued PUT/GET. A separate queue means
 // "the MSC+ does not need to save and restore the entries for the
 // user" when the OS communicates.
-func (m *MSC) PushSystem(c Command) {
-	if f := m.ring; f != nil {
-		f.checkOpen()
-		f.sys.push(&c)
-		f.notify()
-		return
-	}
-	m.push(m.sysSend, c)
-}
+func (m *MSC) PushSystem(c Command) { m.pushSend(m.sysSend, &c) }
 
 // PushRemoteAccess enqueues a hardware remote load/store. "Remote
 // access uses another queue because the processor waits for a remote
 // load, so remote access must be privileged."
-func (m *MSC) PushRemoteAccess(c Command) {
-	if f := m.ring; f != nil {
-		f.checkOpen()
-		f.remote.push(&c)
-		f.notify()
-		return
-	}
-	m.push(m.remoteAcc, c)
-}
+func (m *MSC) PushRemoteAccess(c Command) { m.pushSend(m.remoteAcc, &c) }
 
 // PushGetReply enqueues a reply to a GET request received from the
-// network. Reply pushes come from delivery context, so on the ring
-// front they go through the mutex-guarded reply queues.
-func (m *MSC) PushGetReply(c Command) {
-	if f := m.ring; f != nil {
-		f.pushReply(f.getReply, c)
-		return
-	}
-	m.push(m.getReply, c)
-}
+// network. Any goroutine may push a reply.
+func (m *MSC) PushGetReply(c Command) { m.pushReply(m.getReply, c) }
 
 // PushRemoteLoadReply enqueues a reply to a remote load.
-func (m *MSC) PushRemoteLoadReply(c Command) {
-	if f := m.ring; f != nil {
-		f.pushReply(f.rloadReply, c)
-		return
-	}
-	m.push(m.rloadReply, c)
-}
+func (m *MSC) PushRemoteLoadReply(c Command) { m.pushReply(m.rloadReply, c) }
 
-func (m *MSC) push(q *Queue, c Command) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		panic("msc: push after Close")
-	}
+// pushReply serializes delivery-context pushes onto a reply queue.
+func (m *MSC) pushReply(q *Queue, c Command) {
+	m.checkOpen()
+	m.replyMu.Lock()
 	q.Push(c)
-	m.mu.Unlock()
+	m.replyMu.Unlock()
+	m.replyPending.Add(1)
+	m.notify()
 }
 
 // PushUserBatch enqueues a run of user commands with one doorbell —
@@ -441,21 +420,11 @@ func (m *MSC) PushUserBatch(cmds []Command) {
 	if len(cmds) == 0 {
 		return
 	}
-	if f := m.ring; f != nil {
-		f.checkOpen()
-		for i := range cmds {
-			f.user.push(&cmds[i])
-		}
-		f.notify()
-		return
+	m.checkOpen()
+	for i := range cmds {
+		m.userSend.push(&cmds[i])
 	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		panic("msc: push after Close")
-	}
-	m.userSend.PushBatch(cmds)
-	m.mu.Unlock()
+	m.notify()
 }
 
 // TryNextBatch fills buf with up to len(buf) pending commands without
@@ -467,19 +436,26 @@ func (m *MSC) PushUserBatch(cmds []Command) {
 // worker owns the consumer side of the cell's SPSC rings, so only one
 // goroutine may call it (or TryNext) at a time.
 func (m *MSC) TryNextBatch(buf []Command) int {
-	if f := m.ring; f != nil {
-		return f.tryNextBatch(buf)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n := 0
-	for _, q := range []*Queue{m.rloadReply, m.getReply, m.remoteAcc, m.sysSend, m.userSend} {
-		for n < len(buf) {
-			c, ok := q.Pop()
-			if !ok {
-				break
+	if m.replyPending.Load() > 0 {
+		m.replyMu.Lock()
+		for _, q := range []*Queue{m.rloadReply, m.getReply} {
+			for n < len(buf) {
+				c, ok := q.Pop()
+				if !ok {
+					break
+				}
+				buf[n] = c
+				n++
 			}
-			buf[n] = c
+		}
+		m.replyMu.Unlock()
+		if n > 0 {
+			m.replyPending.Add(int64(-n))
+		}
+	}
+	for _, q := range []*ringQueue{m.remoteAcc, m.sysSend, m.userSend} {
+		for n < len(buf) && q.pop(&buf[n]) {
 			n++
 		}
 	}
@@ -497,65 +473,43 @@ func (m *MSC) TryNext() (Command, bool) {
 
 // Pending reports the total commands across all queues.
 func (m *MSC) Pending() int {
-	if f := m.ring; f != nil {
-		return f.pending()
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.userSend.Len() + m.sysSend.Len() + m.remoteAcc.Len() + m.getReply.Len() + m.rloadReply.Len()
+	m.replyMu.Lock()
+	replies := m.getReply.Len() + m.rloadReply.Len()
+	m.replyMu.Unlock()
+	return replies + m.userSend.cmds.Len() + m.sysSend.cmds.Len() + m.remoteAcc.cmds.Len()
 }
 
-// Close marks the MSC as shutting down: commands already queued still
-// pop, pushing after Close panics — it would lose commands.
+// Close marks the MSC as shutting down and rings the doorbell:
+// commands already queued still pop, pushing after Close panics — it
+// would lose commands.
 func (m *MSC) Close() {
-	if f := m.ring; f != nil {
-		f.closed.Store(true)
-		f.notify()
-		return
-	}
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
+	m.closed.Store(true)
+	m.notify()
 }
 
 // Reopen reverses Close, making the MSC accept pushes again — the
 // machine reuses cells across gang-scheduled jobs instead of
 // rebuilding them. Only legal once the queues have fully drained and
 // every consumer that observed the Close has exited.
-func (m *MSC) Reopen() {
-	if f := m.ring; f != nil {
-		f.closed.Store(false)
-		return
-	}
-	m.mu.Lock()
-	m.closed = false
-	m.mu.Unlock()
-}
+func (m *MSC) Reopen() { m.closed.Store(false) }
 
 // SetObserver installs spill/refill observers on all five queues
-// (observability layer). Install before traffic flows; the callbacks
-// run with the MSC lock held and must not call back into the MSC.
-// Both receive the command count of the triggering push or refill.
+// (observability layer). Install before traffic flows. Both receive
+// the command count of the triggering push or refill. On a send queue
+// onSpill runs in producer context and onRefill in consumer context;
+// on a reply queue both run with the reply lock held. Neither may call
+// back into the MSC.
 func (m *MSC) SetObserver(onSpill func(queue string, n int), onRefill func(queue string, n int)) {
-	if f := m.ring; f != nil {
-		for _, q := range []*ringQueue{f.user, f.sys, f.remote} {
-			q.onSpill = onSpill
-			q.onRefill = onRefill
-		}
-		f.replyMu.Lock()
-		for _, q := range []*Queue{f.getReply, f.rloadReply} {
-			q.onSpill = onSpill
-			q.onRefill = onRefill
-		}
-		f.replyMu.Unlock()
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, q := range []*Queue{m.userSend, m.sysSend, m.remoteAcc, m.getReply, m.rloadReply} {
+	for _, q := range []*ringQueue{m.userSend, m.sysSend, m.remoteAcc} {
 		q.onSpill = onSpill
 		q.onRefill = onRefill
 	}
+	m.replyMu.Lock()
+	for _, q := range []*Queue{m.getReply, m.rloadReply} {
+		q.onSpill = onSpill
+		q.onRefill = onRefill
+	}
+	m.replyMu.Unlock()
 }
 
 // MSCStats aggregates the five queues' statistics.
@@ -565,25 +519,14 @@ type MSCStats struct {
 
 // Stats snapshots all queue counters.
 func (m *MSC) Stats() MSCStats {
-	if f := m.ring; f != nil {
-		f.replyMu.Lock()
-		get, rload := f.getReply.Stats(), f.rloadReply.Stats()
-		f.replyMu.Unlock()
-		return MSCStats{
-			UserSend:        f.user.snapshot(),
-			SysSend:         f.sys.snapshot(),
-			RemoteAccess:    f.remote.snapshot(),
-			GetReply:        get,
-			RemoteLoadReply: rload,
-		}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.replyMu.Lock()
+	get, rload := m.getReply.Stats(), m.rloadReply.Stats()
+	m.replyMu.Unlock()
 	return MSCStats{
-		UserSend:        m.userSend.Stats(),
-		SysSend:         m.sysSend.Stats(),
-		RemoteAccess:    m.remoteAcc.Stats(),
-		GetReply:        m.getReply.Stats(),
-		RemoteLoadReply: m.rloadReply.Stats(),
+		UserSend:        m.userSend.snapshot(),
+		SysSend:         m.sysSend.snapshot(),
+		RemoteAccess:    m.remoteAcc.snapshot(),
+		GetReply:        get,
+		RemoteLoadReply: rload,
 	}
 }

@@ -144,7 +144,7 @@ func TestQueueTooSmallPanics(t *testing.T) {
 }
 
 func TestMSCPriorityOrder(t *testing.T) {
-	m := New()
+	m := NewRing(QueueWords, nil)
 	m.PushUser(Command{Op: OpPut, Tag: 1})
 	m.PushSystem(Command{Op: OpPut, Tag: 2})
 	m.PushRemoteAccess(Command{Op: OpRemoteLoad, Tag: 3})
@@ -160,7 +160,7 @@ func TestMSCPriorityOrder(t *testing.T) {
 }
 
 func TestMSCCloseDrains(t *testing.T) {
-	m := New()
+	m := NewRing(QueueWords, nil)
 	m.PushUser(Command{Tag: 1})
 	m.Close()
 	if c, ok := m.TryNext(); !ok || c.Tag != 1 {
@@ -172,7 +172,7 @@ func TestMSCCloseDrains(t *testing.T) {
 }
 
 func TestMSCPushAfterClosePanics(t *testing.T) {
-	m := New()
+	m := NewRing(QueueWords, nil)
 	m.Close()
 	defer func() {
 		if recover() == nil {
@@ -183,7 +183,7 @@ func TestMSCPushAfterClosePanics(t *testing.T) {
 }
 
 func TestMSCTryNext(t *testing.T) {
-	m := New()
+	m := NewRing(QueueWords, nil)
 	if _, ok := m.TryNext(); ok {
 		t.Fatal("TryNext on empty should fail")
 	}
@@ -193,39 +193,76 @@ func TestMSCTryNext(t *testing.T) {
 	}
 }
 
+// TestMSCConcurrentProducersConsumer drives the MSC under the
+// contract the machine uses: one CPU goroutine pushes user, system and
+// remote-access commands (the send queues are SPSC), several delivery
+// goroutines push GET and remote-load replies, and one consumer pops.
+// Every command arrives exactly once, and each producer's commands on
+// each queue arrive in push order. Two-command queues keep every queue
+// spilling to DRAM and refilling.
 func TestMSCConcurrentProducersConsumer(t *testing.T) {
-	m := New()
-	const producers, each = 4, 500
+	m := NewRing(2*CommandWords, nil)
+	const (
+		sends        = 600 // CPU commands, cycling over the three send queues
+		repliers     = 3
+		repliesEach  = 400 // per replier, alternating GET and rload replies
+		total        = sends + repliers*repliesEach
+		streamsPerPE = 3 // send queues; a replier uses the first two
+	)
+	// Port names the producer's stream (producer·streamsPerPE + queue),
+	// Tag the command's sequence number within it.
 	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
+	wg.Add(1 + repliers)
+	go func() {
+		defer wg.Done()
+		var seq [streamsPerPE]int64
+		push := [streamsPerPE]func(Command){m.PushUser, m.PushSystem, m.PushRemoteAccess}
+		for i := 0; i < sends; i++ {
+			q := i % streamsPerPE
+			push[q](Command{Port: int32(q), Tag: seq[q]})
+			seq[q]++
+		}
+	}()
+	for r := 1; r <= repliers; r++ {
+		go func(r int) {
 			defer wg.Done()
-			for i := 0; i < each; i++ {
-				m.PushUser(Command{Tag: int64(p*each + i)})
+			var seq [2]int64
+			push := [2]func(Command){m.PushGetReply, m.PushRemoteLoadReply}
+			for i := 0; i < repliesEach; i++ {
+				q := i % 2
+				push[q](Command{Port: int32(r*streamsPerPE + q), Tag: seq[q]})
+				seq[q]++
 			}
-		}(p)
+		}(r)
 	}
-	seen := make(map[int64]bool)
-	for len(seen) < producers*each {
-		c, ok := m.TryNext()
-		if !ok {
+	next := make(map[int32]int64)
+	var buf [8]Command
+	for seen := 0; seen < total; {
+		n := m.TryNextBatch(buf[:])
+		if n == 0 {
 			runtime.Gosched()
 			continue
 		}
-		if seen[c.Tag] {
-			t.Fatalf("duplicate tag %d", c.Tag)
+		for _, c := range buf[:n] {
+			if c.Tag != next[c.Port] {
+				t.Fatalf("stream %d: got seq %d, want %d (lost, duplicated or reordered)", c.Port, c.Tag, next[c.Port])
+			}
+			next[c.Port]++
+			seen++
 		}
-		seen[c.Tag] = true
 	}
 	wg.Wait()
-	if m.Pending() != 0 {
-		t.Fatalf("pending = %d", m.Pending())
+	if _, ok := m.TryNext(); ok || m.Pending() != 0 {
+		t.Fatalf("commands left after all %d arrived: pending = %d", total, m.Pending())
+	}
+	s := m.Stats()
+	if s.UserSend.Pops+s.SysSend.Pops+s.RemoteAccess.Pops != sends || s.GetReply.Pops+s.RemoteLoadReply.Pops != repliers*repliesEach {
+		t.Fatalf("pop counts off: %+v", s)
 	}
 }
 
 func TestMSCStats(t *testing.T) {
-	m := New()
+	m := NewRing(QueueWords, nil)
 	for i := 0; i < 20; i++ {
 		m.PushUser(Command{Tag: int64(i)})
 	}
@@ -248,7 +285,7 @@ func TestOpString(t *testing.T) {
 }
 
 func BenchmarkMSCPushPop(b *testing.B) {
-	m := New()
+	m := NewRing(QueueWords, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.PushUser(Command{Tag: int64(i)})
@@ -256,68 +293,43 @@ func BenchmarkMSCPushPop(b *testing.B) {
 	}
 }
 
-// TestQueuePushBatchOrderAndSpill reserves ring space for a whole
-// batch at once: commands beyond the hardware capacity spill to DRAM
-// in one accounting step, and FIFO order survives the refill.
-func TestQueuePushBatchOrderAndSpill(t *testing.T) {
-	q := NewQueue("q", QueueWords)
-	batch := make([]Command, 13)
-	for i := range batch {
-		batch[i] = cmd(i)
-	}
-	q.PushBatch(batch)
-	s := q.Stats()
-	if s.Pushes != 13 || s.Spills != 5 {
-		t.Fatalf("stats after 13-command batch into an 8-deep ring: %+v", s)
-	}
-	for i := 0; i < 13; i++ {
-		c, ok := q.Pop()
-		if !ok || c.Tag != int64(i) {
-			t.Fatalf("pop %d = %+v, %v", i, c, ok)
-		}
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("queue should be empty")
-	}
-}
-
-// TestQueuePushBatchAfterSpillStaysOrdered mixes a single push that
-// already spilled with a following batch: the batch must queue behind
-// the spilled command, never overtake it.
-func TestQueuePushBatchAfterSpillStaysOrdered(t *testing.T) {
-	q := NewQueue("q", QueueWords)
-	for i := 0; i < 9; i++ { // 9th spills
-		q.Push(cmd(i))
-	}
-	q.PushBatch([]Command{cmd(9), cmd(10)})
-	for i := 0; i < 11; i++ {
-		c, ok := q.Pop()
-		if !ok || c.Tag != int64(i) {
-			t.Fatalf("pop %d = %+v, %v", i, c, ok)
-		}
-	}
-}
-
-// TestMSCPushUserBatchSingleWakeup rings the ring front's doorbell
-// once for a whole batch, preserves order, and an empty batch is a
-// no-op even on a closed MSC — on both fronts.
+// TestMSCPushUserBatchSingleWakeup rings the doorbell once for a
+// whole batch, preserves order, and an empty batch is a no-op even on
+// a closed MSC.
 func TestMSCPushUserBatchSingleWakeup(t *testing.T) {
 	rings := 0
-	for _, m := range []*MSC{New(), NewRing(QueueWords, func() { rings++ })} {
-		m.PushUserBatch([]Command{cmd(0), cmd(1), cmd(2), cmd(3)})
-		var buf [8]Command
-		if n := m.TryNextBatch(buf[:]); n != 4 {
-			t.Fatalf("got %d commands, want 4", n)
-		}
-		for i := 0; i < 4; i++ {
-			if buf[i].Tag != int64(i) {
-				t.Fatalf("batch out of order: %v", buf[:4])
-			}
-		}
-		m.Close()
-		m.PushUserBatch(nil) // must not panic: empty batches never touch the queue
+	m := NewRing(QueueWords, func() { rings++ })
+	m.PushUserBatch([]Command{cmd(0), cmd(1), cmd(2), cmd(3)})
+	var buf [8]Command
+	if n := m.TryNextBatch(buf[:]); n != 4 {
+		t.Fatalf("got %d commands, want 4", n)
 	}
-	if rings != 2 { // one for the batch, one for Close
+	for i := 0; i < 4; i++ {
+		if buf[i].Tag != int64(i) {
+			t.Fatalf("batch out of order: %v", buf[:4])
+		}
+	}
+	m.Close()
+	m.PushUserBatch(nil) // must not panic: empty batches never touch the queue
+	if rings != 2 {      // one for the batch, one for Close
 		t.Fatalf("doorbell rang %d times, want 2", rings)
+	}
+}
+
+// TestNewRingRejectsBadSizes pins the sizes an MSC+ refuses: below
+// one command, not a whole number of commands, a command count that
+// is not a power of two (the send rings would round it up and run
+// deeper than the reply queues), and a single command (the send
+// rings hold at least two).
+func TestNewRingRejectsBadSizes(t *testing.T) {
+	for _, words := range []int{4, 8, 19, 24, 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRing(%d) did not panic", words)
+				}
+			}()
+			NewRing(words, nil)
+		}()
 	}
 }

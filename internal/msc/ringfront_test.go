@@ -9,37 +9,59 @@ import (
 
 // TestRingFrontFIFOThroughSpill pushes far more commands than the
 // hardware ring holds and checks the consumer sees them in issue
-// order, with the overflow accounted as DRAM spills and OS refills —
-// the same semantics the mutex front has.
+// order, with the overflow accounted as DRAM spills and OS refills.
+// The commands go in one at a time, or as PushUserBatch runs after a
+// first single push: a 13-command batch overruns the 8-command ring
+// and must queue behind anything that already spilled.
 func TestRingFrontFIFOThroughSpill(t *testing.T) {
-	m := NewRing(QueueWords, nil) // 8 commands of hardware ring
 	const total = 1000
-	for i := 0; i < total; i++ {
-		m.PushUser(Command{Tag: int64(i)})
-	}
-	var buf [16]Command
-	seen := 0
-	for seen < total {
-		n := m.TryNextBatch(buf[:])
-		if n == 0 {
-			t.Fatalf("ring front ran dry after %d of %d commands", seen, total)
-		}
-		for i := 0; i < n; i++ {
-			if buf[i].Tag != int64(seen) {
-				t.Fatalf("command %d out of order: got tag %d", seen, buf[i].Tag)
+	for _, tc := range []struct {
+		name string
+		runs []int // commands per push call, cycled; 1 means PushUser
+	}{
+		{"single", []int{1}},
+		{"batch", []int{1, 13, 13, 13, 13, 13, 13, 13, 13, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewRing(QueueWords, nil) // 8 commands of hardware ring
+			var batch []Command
+			for i, r := 0, 0; i < total; r++ {
+				batch = batch[:0]
+				for k := 0; k < tc.runs[r%len(tc.runs)] && i < total; k++ {
+					batch = append(batch, Command{Tag: int64(i)})
+					i++
+				}
+				if len(batch) == 1 {
+					m.PushUser(batch[0])
+				} else {
+					m.PushUserBatch(batch)
+				}
 			}
-			seen++
-		}
-	}
-	st := m.Stats().UserSend
-	if st.Pushes != total || st.Pops != total {
-		t.Errorf("stats pushes/pops = %d/%d, want %d/%d", st.Pushes, st.Pops, total, total)
-	}
-	if st.Spills == 0 || st.Refills != st.Spills || st.Interrupts == 0 {
-		t.Errorf("spill accounting off: %+v", st)
-	}
-	if m.Pending() != 0 {
-		t.Errorf("Pending = %d after drain", m.Pending())
+			var buf [16]Command
+			seen := 0
+			for seen < total {
+				n := m.TryNextBatch(buf[:])
+				if n == 0 {
+					t.Fatalf("ring front ran dry after %d of %d commands", seen, total)
+				}
+				for i := 0; i < n; i++ {
+					if buf[i].Tag != int64(seen) {
+						t.Fatalf("command %d out of order: got tag %d", seen, buf[i].Tag)
+					}
+					seen++
+				}
+			}
+			st := m.Stats().UserSend
+			if st.Pushes != total || st.Pops != total {
+				t.Errorf("stats pushes/pops = %d/%d, want %d/%d", st.Pushes, st.Pops, total, total)
+			}
+			if st.Spills != total-8 || st.Refills != st.Spills || st.Interrupts == 0 || st.MaxDepth != 8 {
+				t.Errorf("spill accounting off: %+v", st)
+			}
+			if m.Pending() != 0 {
+				t.Errorf("Pending = %d after drain", m.Pending())
+			}
+		})
 	}
 }
 

@@ -92,6 +92,8 @@ func WithMemoryPerCell(bytes int64) Option {
 
 // WithQueueWords sizes the MSC+ command queues in 32-bit words
 // (default 64, the hardware's FIFO depth; overflow spills to DRAM).
+// The size must be a power-of-two count, at least two, of 8-word
+// commands — 16, 32, 64, 128, ... words; New rejects any other.
 func WithQueueWords(words int) Option {
 	return func(b *builder) error {
 		if words <= 0 {

@@ -31,6 +31,10 @@ func TestNewValidation(t *testing.T) {
 		{"zero memory", []Option{WithGrid(2, 2), WithMemoryPerCell(0)}, "memory per cell"},
 		{"zero queue", []Option{WithGrid(2, 2), WithQueueWords(0)}, "queue words"},
 		{"queue below a command", []Option{WithGrid(2, 2), WithQueueWords(2)}, "below one"},
+		{"queue of part commands", []Option{WithGrid(2, 2), WithQueueWords(19)}, "power-of-two"},
+		{"queue of 3 commands", []Option{WithGrid(2, 2), WithQueueWords(24)}, "power-of-two"},
+		{"queue of 5 commands", []Option{WithGrid(2, 2), WithQueueWords(40)}, "power-of-two"},
+		{"ablation queue sizes ok", []Option{WithGrid(2, 2), WithQueueWords(1024)}, ""},
 		{"empty trace name", []Option{WithGrid(2, 2), WithTrace("")}, "trace application name"},
 		{"nil timeline", []Option{WithGrid(2, 2), WithTimeline(nil)}, "WithTimeline(nil)"},
 		{"nil fault plan", []Option{WithGrid(2, 2), WithFault(nil)}, "WithFault(nil)"},
