@@ -22,11 +22,11 @@ GO ?= go
 .PHONY: all build test verify apvet apvet-baseline bench fuzz chaos
 
 # STAGING_TESTS pin the link matrix's staged outboxes: what Transmit,
-# Flush and DrainInbox charge, wake and deliver, and the batched link
-# against its per-packet reference and under a racing producer. verify runs them and the wire
-# differential at GOMAXPROCS 1 and 4, because staged flushes interact
-# with parking and a gate's verdict must not depend on the host's
-# core count.
+# Flush and DrainInbox charge, wake and deliver, and the batched
+# RingLink against a per-packet test oracle and under a racing
+# producer. verify runs them and the wire differential at GOMAXPROCS 1
+# and 4, because staged flushes interact with parking and a gate's
+# verdict must not depend on the host's core count.
 STAGING_TESTS = TestTransmitStagesUntilFlush|TestReplyStagedDuringDrain|TestDrainInboxMax|TestLinkImplsEquivalent|TestRingLinkConcurrentFIFO|TestRingWireOrderAndDrain|TestFaultFatesRideTheLink
 
 all: verify
@@ -82,13 +82,15 @@ verify:
 # random-workload property tests under the race detector (retransmit,
 # dedup and limbo-release paths are concurrency-heavy), plus short
 # fuzz passes over the fault-plan parser, the trace codec's
-# corrupted-wire seeds and the stride DMA engine against its
-# byte-at-a-time oracle.
+# corrupted-wire seeds, the stride DMA engine against its
+# byte-at-a-time oracle and the batched link against its per-packet
+# oracle.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestFaultProperty|TestBatchMatchesSingleIssue|TestPGASProperty|TestAtomicHotCounterMessages' .
 	$(GO) test -fuzz FuzzPlan -fuzztime 5s ./internal/fault/
 	$(GO) test -fuzz FuzzRead -fuzztime 5s ./internal/trace/
 	$(GO) test -fuzz FuzzCopyStride -fuzztime 5s ./internal/mem/
+	$(GO) test -fuzz FuzzLinkEquivalent -fuzztime 5s ./internal/tnet/
 
 # The ring-buffer property tests and the wire differential gate run
 # inside `go test -race ./...` too; the explicit lines above pin them

@@ -111,7 +111,8 @@ func NewComm(c *Cell) *Comm { return core.New(c) }
 // Typed issue errors, for errors.Is against validation and delivery
 // failures.
 var (
-	// ErrBadAddress reports a transfer to an invalid cell or address.
+	// ErrBadAddress reports a transfer to an invalid cell, a cell in
+	// another partition, or an unmapped address.
 	ErrBadAddress = core.ErrBadAddress
 	// ErrBadStride reports an invalid or oversized stride pattern.
 	ErrBadStride = core.ErrBadStride

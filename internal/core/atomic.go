@@ -10,25 +10,16 @@ package core
 // only the message count drops.
 
 import (
-	"fmt"
-
 	"ap1000plus/internal/mc"
 	"ap1000plus/internal/mem"
 	"ap1000plus/internal/msc"
 	"ap1000plus/internal/topology"
 )
 
-func (c *Comm) validateAtomic(dst topology.CellID) error {
-	if !c.cell.Machine().Torus().Valid(dst) {
-		return fmt.Errorf("core: invalid destination cell %d: %w", dst, ErrBadAddress)
-	}
-	return nil
-}
-
 // FetchAdd atomically adds delta to the 8-byte word at raddr on dst
 // and returns the word's previous value. Blocking.
 func (c *Comm) FetchAdd(dst topology.CellID, raddr mem.Addr, delta int64) (int64, error) {
-	if err := c.validateAtomic(dst); err != nil {
+	if err := c.validateDst(dst); err != nil {
 		return 0, err
 	}
 	return c.cell.FetchAdd(dst, raddr, delta)
@@ -38,7 +29,7 @@ func (c *Comm) FetchAdd(dst topology.CellID, raddr mem.Addr, delta int64) (int64
 // dst iff it equals oldVal, returning the previous value either way.
 // Blocking.
 func (c *Comm) CompareAndSwap(dst topology.CellID, raddr mem.Addr, oldVal, newVal int64) (int64, error) {
-	if err := c.validateAtomic(dst); err != nil {
+	if err := c.validateDst(dst); err != nil {
 		return 0, err
 	}
 	return c.cell.CompareAndSwap(dst, raddr, oldVal, newVal)
@@ -47,7 +38,7 @@ func (c *Comm) CompareAndSwap(dst topology.CellID, raddr mem.Addr, oldVal, newVa
 // Swap atomically stores v into the word at raddr on dst and returns
 // the previous value. Blocking.
 func (c *Comm) Swap(dst topology.CellID, raddr mem.Addr, v int64) (int64, error) {
-	if err := c.validateAtomic(dst); err != nil {
+	if err := c.validateDst(dst); err != nil {
 		return 0, err
 	}
 	return c.cell.Swap(dst, raddr, v)
@@ -56,7 +47,7 @@ func (c *Comm) Swap(dst topology.CellID, raddr mem.Addr, v int64) (int64, error)
 // AtomicAdd atomically adds delta to the word at raddr on dst,
 // non-blocking; FenceAtomics awaits the acknowledgement.
 func (c *Comm) AtomicAdd(dst topology.CellID, raddr mem.Addr, delta int64) error {
-	if err := c.validateAtomic(dst); err != nil {
+	if err := c.validateDst(dst); err != nil {
 		return err
 	}
 	c.cell.AtomicAdd(dst, raddr, delta)
@@ -66,7 +57,7 @@ func (c *Comm) AtomicAdd(dst topology.CellID, raddr mem.Addr, delta int64) error
 // AtomicMin atomically lowers the word at raddr on dst to v if v is
 // smaller (signed), non-blocking.
 func (c *Comm) AtomicMin(dst topology.CellID, raddr mem.Addr, v int64) error {
-	if err := c.validateAtomic(dst); err != nil {
+	if err := c.validateDst(dst); err != nil {
 		return err
 	}
 	c.cell.AtomicMin(dst, raddr, v)
@@ -76,7 +67,7 @@ func (c *Comm) AtomicMin(dst topology.CellID, raddr mem.Addr, v int64) error {
 // AtomicMax atomically raises the word at raddr on dst to v if v is
 // larger (signed), non-blocking.
 func (c *Comm) AtomicMax(dst topology.CellID, raddr mem.Addr, v int64) error {
-	if err := c.validateAtomic(dst); err != nil {
+	if err := c.validateDst(dst); err != nil {
 		return err
 	}
 	c.cell.AtomicMax(dst, raddr, v)
@@ -111,7 +102,7 @@ func (b *CommandList) stageAtomic(op mc.AtomicOp, dst topology.CellID, raddr mem
 	if !b.ready() {
 		return b
 	}
-	if err := b.comm.validateAtomic(dst); err != nil {
+	if err := b.comm.validateDst(dst); err != nil {
 		b.err = err
 		return b
 	}

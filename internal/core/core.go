@@ -41,7 +41,8 @@ const MaxTransfer = 4 << 20
 // PUT/GET interface branch with errors.Is without importing the
 // machine package.
 var (
-	// ErrBadAddress marks an invalid destination cell.
+	// ErrBadAddress marks an invalid destination cell, or one in
+	// another partition.
 	ErrBadAddress = machine.ErrBadAddress
 	// ErrBadStride marks an invalid transfer shape: malformed stride,
 	// mismatched payload totals, or a transfer over MaxTransfer.
@@ -112,9 +113,18 @@ func NewRTS(cell *machine.Cell) *Comm {
 // Cell returns the underlying cell.
 func (c *Comm) Cell() *machine.Cell { return c.cell }
 
+// validateDst rejects, at issue time, a destination the cell's MSC+
+// cannot address: an invalid cell or one in another partition.
+func (c *Comm) validateDst(dst topology.CellID) error {
+	if !c.cell.Reaches(dst) {
+		return fmt.Errorf("core: invalid destination cell %d for cell %d's partition: %w", dst, c.cell.ID(), ErrBadAddress)
+	}
+	return nil
+}
+
 func (c *Comm) validate(dst topology.CellID, pat mem.Stride) error {
-	if !c.cell.Machine().Torus().Valid(dst) {
-		return fmt.Errorf("core: invalid destination cell %d: %w", dst, ErrBadAddress)
+	if err := c.validateDst(dst); err != nil {
+		return err
 	}
 	if err := pat.Validate(); err != nil {
 		return fmt.Errorf("core: %w: %v", ErrBadStride, err)

@@ -349,3 +349,43 @@ func BenchmarkPutIssue(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestCrossPartitionRejectedAtIssue: a destination in another
+// partition is a bad address at issue time, for transfers and atomics
+// alike, and nothing is queued.
+func TestCrossPartitionRejectedAtIssue(t *testing.T) {
+	m, err := machine.New(machine.Config{Width: 2, Height: 2, MemoryPerCell: 1 << 20, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, _, err := m.Cell(0).AllocFloat64("buf", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := topology.CellID(m.Cells() - 1)
+	if m.PartitionOf(other) == m.PartitionOf(0) {
+		t.Fatalf("cells 0 and %d share a partition", other)
+	}
+	err = m.Run(func(cell *machine.Cell) error {
+		if cell.ID() != 0 {
+			return nil
+		}
+		c := New(cell)
+		_, faErr := c.FetchAdd(other, seg.Base(), 1)
+		for name, err := range map[string]error{
+			"put":      c.Put(Transfer{To: other, Remote: seg.Base(), Local: seg.Base(), Size: 8}),
+			"fetchadd": faErr,
+		} {
+			if !errors.Is(err, ErrBadAddress) {
+				t.Errorf("%s across partitions: err %v, want ErrBadAddress", name, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := m.TNetStats().Messages; n != 0 {
+		t.Errorf("%d messages reached the network", n)
+	}
+}

@@ -144,10 +144,7 @@ func (c *Cell) FenceAtomics() {
 // combinable operation, the request enters the combining tree and may
 // be absorbed without touching the wire.
 func (m *Machine) routeAtomic(c *Cell, cmd *msc.Command, exec int) {
-	// A cross-partition request skips the stations, where a legal
-	// neighbour's batch could absorb it, and reaches Transmit's isolation
-	// check.
-	if cb := m.comb; cb != nil && cmd.AOp.Combinable() && m.partOf[c.id] == m.partOf[cmd.Dst] {
+	if cb := m.comb; cb != nil && cmd.AOp.Combinable() {
 		root, send := cb.Submit(c.id, cmd.Dst, cmd.RAddr, cmd.AOp, cmd.Tag, cmd.AVal)
 		if !send {
 			// Joined an open station: the upstream master's reply will

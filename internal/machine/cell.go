@@ -198,6 +198,13 @@ func (c *Cell) N() int { return c.machine.Cells() }
 // Machine returns the owning machine.
 func (c *Cell) Machine() *Machine { return c.machine }
 
+// Reaches reports whether c's MSC+ can address dst: a valid cell in
+// c's own partition (partitions have disjoint T-net routing).
+func (c *Cell) Reaches(dst topology.CellID) bool {
+	m := c.machine
+	return m.torus.Valid(dst) && m.partOf[dst] == m.partOf[c.id]
+}
+
 // Recorder returns the cell's trace recorder, or nil when tracing is
 // disabled. Layered packages (core, vpp, sendrecv, barrier) record
 // their library entry points here, mirroring the paper's probes.

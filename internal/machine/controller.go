@@ -44,6 +44,13 @@ func (m *Machine) process(c *Cell, cmd *msc.Command) {
 		s.AcquireHandle(exec, cmd.San)
 	}
 	switch cmd.Op {
+	case msc.OpPut, msc.OpSend, msc.OpRemoteStore, msc.OpGet, msc.OpRemoteLoad, msc.OpAtomic:
+		if !c.Reaches(cmd.Dst) {
+			m.dropUnreachable(c, cmd, exec)
+			return
+		}
+	}
+	switch cmd.Op {
 	case msc.OpPut, msc.OpSend, msc.OpRemoteStore:
 		m.sendData(c, cmd, exec)
 	case msc.OpGet, msc.OpRemoteLoad:
@@ -60,6 +67,29 @@ func (m *Machine) process(c *Cell, cmd *msc.Command) {
 		m.loadReply(c, cmd, exec)
 	default:
 		c.OS.fault(fmt.Errorf("machine: cell %d: unknown command %v", c.id, *cmd))
+	}
+}
+
+// dropUnreachable drops a command whose destination c cannot address:
+// an invalid cell, or one in another partition. The hardware checks
+// illegal addresses (S3.2), so the command interrupts the OS and is
+// dropped, and every waiter it would have woken is settled as for a
+// transfer the reliable layer abandons: the program lives on.
+func (m *Machine) dropUnreachable(c *Cell, cmd *msc.Command, exec int) {
+	c.OS.interrupt(IntrPageFault)
+	c.OS.fault(fmt.Errorf("machine: cell %d: %v to unreachable cell %d (invalid or in another partition): %w", c.id, cmd.Op, cmd.Dst, ErrBadAddress))
+	switch cmd.Op {
+	case msc.OpRemoteLoad:
+		c.completeLoad(cmd.Tag, nil)
+	case msc.OpRemoteStore:
+		m.sanFlagInc(exec, int(c.id), mc.RemoteAckFlagID)
+		c.Flags.Inc(mc.RemoteAckFlagID)
+	case msc.OpAtomic:
+		if cmd.Tag != 0 {
+			c.completeAtomic(cmd.Tag, 0, false, exec)
+		} else {
+			c.Flags.Inc(mc.AtomicAckFlagID)
+		}
 	}
 }
 

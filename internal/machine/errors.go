@@ -8,7 +8,7 @@ import "errors"
 // errors.Is instead of matching message strings.
 var (
 	// ErrBadAddress marks a transfer aimed at an invalid destination
-	// cell or an unmapped address.
+	// cell, a cell in another partition, or an unmapped address.
 	ErrBadAddress = errors.New("bad address")
 	// ErrBadStride marks an invalid transfer shape: a malformed stride
 	// pattern, mismatched send/receive payload totals, or a transfer

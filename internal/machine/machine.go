@@ -107,11 +107,11 @@ type Config struct {
 	// Partitions splits the machine into this many equal contiguous
 	// cell partitions — the paper's partitioned multi-user operation.
 	// Each partition is a gang-scheduling unit with disjoint T-net
-	// routing (a cross-partition send panics), a B-net segment scoped
-	// to the sender's partition, its own S-net barrier domain, and an
-	// independent quiesce/drain domain so concurrent jobs never wait
-	// on each other. 0 (or 1) runs the classic single-partition
-	// machine.
+	// routing (a command aimed across the boundary is a page fault), a
+	// B-net segment scoped to the sender's partition, its own S-net
+	// barrier domain, and an independent quiesce/drain domain so
+	// concurrent jobs never wait on each other. 0 (or 1) runs the
+	// classic single-partition machine.
 	Partitions int
 }
 
@@ -202,10 +202,7 @@ func New(cfg Config) (*Machine, error) {
 		m.ts = trace.New(cfg.TraceApp, cfg.Width, cfg.Height)
 	}
 	if cfg.Sanitize {
-		m.san = apsan.New(torus.Cells())
-		m.san.OnReport = func(r apsan.Report) {
-			m.cells[r.Access.Cell].OS.interrupt(IntrSanitizer)
-		}
+		m.resetSanitizer()
 	}
 	if cfg.Observe || cfg.Timeline != nil || cfg.Fault != nil {
 		m.obs = obs.NewObserver(torus.Cells(), cfg.Timeline)

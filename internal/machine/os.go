@@ -44,7 +44,9 @@ func (c InterruptCause) String() string {
 // OS is a cell's operating-system state: interrupt counters and the
 // fault log. The functional machine never kills a program on an
 // asynchronous fault (the hardware drops the offending message and
-// interrupts); tests assert on these logs instead.
+// interrupts); tests assert on these logs instead. A command aimed at
+// a cell that does not exist or lies in another partition is such a
+// fault: a page-fault interrupt, not a crash of the host process.
 type OS struct {
 	mu         sync.Mutex
 	interrupts [numInterruptCauses]int64

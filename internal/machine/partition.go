@@ -147,9 +147,10 @@ func (m *Machine) Open() error {
 	return nil
 }
 
-// resetSanitizer rebuilds the race detector for a fresh epoch: apsan's
-// logical clocks and shadow DRAM describe one job's happens-before
-// history, which ends at the previous Close's full drain.
+// resetSanitizer builds the race detector, at New and for each fresh
+// epoch: apsan's logical clocks and shadow DRAM describe one job's
+// happens-before history, which ends at the previous Close's full
+// drain.
 func (m *Machine) resetSanitizer() {
 	m.san = apsan.New(m.torus.Cells())
 	m.san.OnReport = func(r apsan.Report) {

@@ -2,36 +2,6 @@ package tnet
 
 import "sync"
 
-// Link is one direction of a T-net conduit between a producing and a
-// consuming delivery shard. Enqueue never blocks and never fails (a
-// link grows past its fast-path depth, as the hardware spills to
-// DRAM); the owning consumer Drains in FIFO order. The SPSC contract
-// applies per link: one producing shard publishes, one consuming
-// shard takes. The link matrix moves packets in batches through the
-// unexported publish and take; Enqueue and Drain are their
-// one-packet forms. Two implementations exist — the batched RingLink
-// the machine runs on, and the per-packet MutexLink kept as the
-// obviously-correct reference for differential testing
-// (TestLinkImplsEquivalent).
-type Link interface {
-	// Enqueue appends a packet (producer side).
-	Enqueue(Packet)
-	// Drain delivers up to max pending packets to deliver in FIFO
-	// order and reports how many (consumer side). max <= 0 drains
-	// everything pending.
-	Drain(max int, deliver func(Packet)) int
-	// Pending reports buffered packets (approximate off-shard).
-	Pending() int
-	// Stats snapshots the link's counters.
-	Stats() LinkStats
-
-	// publish appends a batch in order (producer side).
-	publish(ps []Packet)
-	// take moves the oldest min(len(dst), pending) packets into dst
-	// and reports how many (consumer side).
-	take(dst []Packet) int
-}
-
 // LinkStats counts one link's traffic.
 type LinkStats struct {
 	Enqueued int64
@@ -42,13 +12,15 @@ type LinkStats struct {
 // drainChunk is how many packets Drain takes per lock.
 const drainChunk = 16
 
-// RingLink is the batched Link: a circular buffer under one mutex. A
-// batch is copied in with one lock and copied out in chunks of up to
-// the consumer's buffer with one lock each, so the lock and the
-// copies are paid per batch, not per packet. The buffer starts at the
-// fast-path depth and doubles when a backlog outgrows it; it is never
-// handed to anyone, so producer, link and consumer each own exactly
-// one backing array.
+// RingLink is one direction of a T-net conduit between one producing
+// and one consuming delivery shard (SPSC), in FIFO order: a circular
+// buffer under one mutex. The link matrix moves packets in batches
+// through publish and take, one lock and one copy per batch; Enqueue
+// and Drain are their one-packet forms, for probes and tests. The
+// buffer starts at the fast-path depth and doubles when a backlog
+// outgrows it (publishing never blocks, as the hardware spills to
+// DRAM); it is never handed to anyone, so producer, link and consumer
+// each own exactly one backing array.
 type RingLink struct {
 	mu    sync.Mutex
 	buf   []Packet // circular; len is 0 or a power of two
@@ -71,8 +43,18 @@ func NewRingLink(capacity int) *RingLink {
 	return &RingLink{depth: d}
 }
 
+// Link and NewMutexLink are kept because bench/probes.go names them;
+// the per-packet reference link is a test oracle now (link_test.go).
+type Link = *RingLink
+
+// NewMutexLink returns NewRingLink(capacity); see Link.
+func NewMutexLink(capacity int) *RingLink { return NewRingLink(capacity) }
+
+// Enqueue appends one packet (producer side).
 func (l *RingLink) Enqueue(p Packet) { l.publish([]Packet{p}) }
 
+// Drain delivers up to max (all if max <= 0) pending packets to
+// deliver in FIFO order and reports how many (consumer side).
 func (l *RingLink) Drain(max int, deliver func(Packet)) int {
 	if l.chunk == nil {
 		l.chunk = make([]Packet, drainChunk)
@@ -96,6 +78,7 @@ func (l *RingLink) Drain(max int, deliver func(Packet)) int {
 	return n
 }
 
+// publish appends a batch in order (producer side).
 func (l *RingLink) publish(ps []Packet) {
 	l.mu.Lock()
 	need := l.n + len(ps)
@@ -126,6 +109,7 @@ func (l *RingLink) grow(need int) {
 	l.buf, l.head = buf, 0
 }
 
+// take moves up to len(dst) oldest packets into dst (consumer side).
 func (l *RingLink) take(dst []Packet) int {
 	l.mu.Lock()
 	k := min(len(dst), l.n)
@@ -158,89 +142,15 @@ func (l *RingLink) copyOut(dst []Packet) {
 	copy(dst[k:], l.buf)
 }
 
+// Pending reports buffered packets (approximate off-shard).
 func (l *RingLink) Pending() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.n
 }
 
+// Stats snapshots the link's counters.
 func (l *RingLink) Stats() LinkStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
-}
-
-// MutexLink is the reference Link: one mutex around a slice FIFO,
-// taken once per packet on both sides. Semantically identical to
-// RingLink, structurally too simple to be wrong — the differential
-// partner that keeps the batched build honest.
-type MutexLink struct {
-	mu    sync.Mutex
-	buf   []Packet
-	head  int
-	stats LinkStats
-}
-
-// NewMutexLink builds a MutexLink; capacity is advisory only.
-func NewMutexLink(capacity int) *MutexLink {
-	return &MutexLink{buf: make([]Packet, 0, capacity)}
-}
-
-func (l *MutexLink) Enqueue(p Packet) {
-	l.mu.Lock()
-	l.buf = append(l.buf, p)
-	l.stats.Enqueued++
-	l.mu.Unlock()
-}
-
-func (l *MutexLink) Drain(max int, deliver func(Packet)) int {
-	n := 0
-	var p Packet
-	for (max <= 0 || n < max) && l.pop(&p) {
-		deliver(p)
-		n++
-	}
-	return n
-}
-
-func (l *MutexLink) publish(ps []Packet) {
-	for _, p := range ps {
-		l.Enqueue(p)
-	}
-}
-
-func (l *MutexLink) take(dst []Packet) int {
-	n := 0
-	for n < len(dst) && l.pop(&dst[n]) {
-		n++
-	}
-	return n
-}
-
-// pop moves the oldest packet into *dst and reports whether there was
-// one.
-func (l *MutexLink) pop(dst *Packet) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.head >= len(l.buf) {
-		l.buf = l.buf[:0]
-		l.head = 0
-		return false
-	}
-	*dst = l.buf[l.head]
-	l.buf[l.head] = Packet{}
-	l.head++
-	l.stats.Drained++
-	return true
-}
-
-func (l *MutexLink) Pending() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf) - l.head
-}
-
-func (l *MutexLink) Stats() LinkStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stats

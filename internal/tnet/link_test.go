@@ -3,6 +3,7 @@ package tnet
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"ap1000plus/internal/fault"
@@ -10,16 +11,101 @@ import (
 	"ap1000plus/internal/topology"
 )
 
-// TestLinkImplsEquivalent runs the same seeded schedule through both
-// Link implementations and requires identical delivery sequences and
-// matching counters — the link-level differential that keeps the
-// batched RingLink pinned to the obviously-correct MutexLink. Each
+// link is the surface the differential tests drive on RingLink and on
+// its oracle.
+type link interface {
+	Enqueue(Packet)
+	Drain(max int, deliver func(Packet)) int
+	Pending() int
+	Stats() LinkStats
+	publish(ps []Packet)
+	take(dst []Packet) int
+}
+
+// mutexLink is RingLink's oracle: one mutex around a slice FIFO, taken
+// once per packet on both sides. Structurally too simple to be wrong,
+// it keeps the batched link honest.
+type mutexLink struct {
+	mu    sync.Mutex
+	buf   []Packet
+	head  int
+	stats LinkStats
+}
+
+func newMutexLink(capacity int) *mutexLink {
+	return &mutexLink{buf: make([]Packet, 0, capacity)}
+}
+
+func (l *mutexLink) Enqueue(p Packet) {
+	l.mu.Lock()
+	l.buf = append(l.buf, p)
+	l.stats.Enqueued++
+	l.mu.Unlock()
+}
+
+func (l *mutexLink) Drain(max int, deliver func(Packet)) int {
+	n := 0
+	var p Packet
+	for (max <= 0 || n < max) && l.pop(&p) {
+		deliver(p)
+		n++
+	}
+	return n
+}
+
+func (l *mutexLink) publish(ps []Packet) {
+	for _, p := range ps {
+		l.Enqueue(p)
+	}
+}
+
+func (l *mutexLink) take(dst []Packet) int {
+	n := 0
+	for n < len(dst) && l.pop(&dst[n]) {
+		n++
+	}
+	return n
+}
+
+// pop moves the oldest packet into *dst and reports whether there was
+// one.
+func (l *mutexLink) pop(dst *Packet) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.head >= len(l.buf) {
+		l.buf = l.buf[:0]
+		l.head = 0
+		return false
+	}
+	*dst = l.buf[l.head]
+	l.buf[l.head] = Packet{}
+	l.head++
+	l.stats.Drained++
+	return true
+}
+
+func (l *mutexLink) Pending() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.buf) - l.head
+}
+
+func (l *mutexLink) Stats() LinkStats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stats
+}
+
+// TestLinkImplsEquivalent runs the same seeded schedule through
+// RingLink and its mutexLink oracle and requires identical delivery
+// sequences and matching counters — the link-level differential that
+// keeps the batched RingLink pinned to the obviously-correct oracle. Each
 // step mixes the per-packet forms (Enqueue bursts, Drain with a random
 // max) with the batch forms the link matrix uses (publish of a random
 // batch, take into a random-sized buffer), so backlogs wrap and grow
 // the ring past its fast-path depth.
 func TestLinkImplsEquivalent(t *testing.T) {
-	run := func(l Link) ([]int64, LinkStats) {
+	run := func(l link) ([]int64, LinkStats) {
 		rng := rand.New(rand.NewSource(99))
 		var got []int64
 		record := func(p Packet) { got = append(got, p.Head.Tag) }
@@ -55,7 +141,7 @@ func TestLinkImplsEquivalent(t *testing.T) {
 		return got, l.Stats()
 	}
 	ringSeq, ringStats := run(NewRingLink(8))
-	mtxSeq, mtxStats := run(NewMutexLink(8))
+	mtxSeq, mtxStats := run(newMutexLink(8))
 	if len(ringSeq) != len(mtxSeq) {
 		t.Fatalf("delivery counts differ: ring %d, mutex %d", len(ringSeq), len(mtxSeq))
 	}
@@ -73,6 +159,80 @@ func TestLinkImplsEquivalent(t *testing.T) {
 	if ringStats.Spills == 0 {
 		t.Errorf("ring link never outgrew its fast path: %+v", ringStats)
 	}
+}
+
+// FuzzLinkEquivalent decodes its input into the four step kinds of
+// TestLinkImplsEquivalent and runs them through a RingLink and the
+// mutexLink oracle. data[0] picks the ring's fast-path depth (2..8);
+// each following pair of bytes is one step, a kind and a size: an
+// Enqueue burst (0..6 packets), a publish batch (0..40), a Drain with
+// max 0..4 (0 drains all) or a take into a buffer of 0..20. Both links
+// must deliver the same sequence, in FIFO order, and hold the same
+// number of packets after every step.
+func FuzzLinkEquivalent(f *testing.F) {
+	f.Add([]byte{6, 0, 3, 2, 2, 3, 7})
+	// Depth 2 and three 40-packet batches before the first take: the
+	// ring grows far past its fast path, then drains in odd chunks.
+	f.Add([]byte{0, 1, 40, 1, 40, 1, 40, 3, 20, 2, 3, 3, 7, 0, 6, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		links := [2]link{NewRingLink(2 + int(data[0])%7), newMutexLink(0)}
+		var seqs [2][]int64
+		batch := make([]Packet, 40)
+		buf := make([]Packet, 20)
+		next := int64(0)
+		for i := 1; i+1 < len(data); i += 2 {
+			kind, arg := data[i]%4, int(data[i+1])
+			var tag int64
+			for j, l := range links {
+				tag = next
+				switch kind {
+				case 0:
+					for k := arg % 7; k > 0; k-- {
+						l.Enqueue(Packet{Head: msc.Command{Tag: tag}})
+						tag++
+					}
+				case 1:
+					ps := batch[:arg%(len(batch)+1)]
+					for k := range ps {
+						ps[k] = Packet{Head: msc.Command{Tag: tag}}
+						tag++
+					}
+					l.publish(ps)
+				case 2:
+					l.Drain(arg%5, func(p Packet) { seqs[j] = append(seqs[j], p.Head.Tag) })
+				case 3:
+					dst := buf[:arg%(len(buf)+1)]
+					for _, p := range dst[:l.take(dst)] {
+						seqs[j] = append(seqs[j], p.Head.Tag)
+					}
+				}
+			}
+			next = tag
+			if r, m := links[0].Pending(), links[1].Pending(); r != m {
+				t.Fatalf("step %d: ring holds %d packets, oracle %d", i/2, r, m)
+			}
+		}
+		for j, l := range links {
+			l.Drain(0, func(p Packet) { seqs[j] = append(seqs[j], p.Head.Tag) })
+			if l.Pending() != 0 {
+				t.Fatalf("%T: %d packets pending after full drain", l, l.Pending())
+			}
+		}
+		if !slices.Equal(seqs[0], seqs[1]) {
+			t.Fatalf("delivery sequences differ:\nring   %v\noracle %v", seqs[0], seqs[1])
+		}
+		if int64(len(seqs[0])) != next {
+			t.Fatalf("delivered %d of %d packets", len(seqs[0]), next)
+		}
+		for i, tag := range seqs[0] {
+			if tag != int64(i) {
+				t.Fatalf("delivery %d out of FIFO order: %d", i, tag)
+			}
+		}
+	})
 }
 
 // TestRingLinkConcurrentFIFO runs one producer publishing random

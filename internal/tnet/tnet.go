@@ -13,7 +13,7 @@
 //
 //   - Over a link (SetRingWire): cells are partitioned over a small
 //     number of delivery shards, and each ordered pair of shards gets
-//     one Link. A packet from A to B in another shard is staged in
+//     one RingLink. A packet from A to B in another shard is staged in
 //     shard(A)'s outbox for shard(B); Flush publishes every staged
 //     batch onto its (shard(A), shard(B)) link with one lock and one
 //     doorbell, and B's owning shard delivers it. Outbox and link are
@@ -124,13 +124,13 @@ type Network struct {
 	partOf []int32
 }
 
-// ringWire is the link matrix: one Link per ordered shard pair, plus
+// ringWire is the link matrix: one RingLink per ordered shard pair, plus
 // each shard's private staging and receive buffers.
 type ringWire struct {
 	shards int
 	// links[consumer][producer]: the conduit from producing shard to
 	// consuming shard.
-	links [][]Link
+	links [][]*RingLink
 	// shard[s] is owned by shard s's delivery worker.
 	shard []shardBufs
 	// wake nudges a consuming shard's delivery worker after a flush
@@ -161,11 +161,10 @@ type shardBufs struct {
 // wireShardStats is one shard's traffic counters, padded so shards do
 // not false-share cache lines.
 type wireShardStats struct {
-	messages atomic.Int64
-	bytes    atomic.Int64
-	hops     atomic.Int64
-	perOp    [msc.NumOps]atomic.Int64
-	_        [64]byte
+	bytes atomic.Int64
+	hops  atomic.Int64
+	perOp [msc.NumOps]atomic.Int64
+	_     [64]byte
 }
 
 // streamKey identifies one (src, dst, class) wire stream.
@@ -226,36 +225,32 @@ func (n *Network) SetFault(inj *fault.Injector) {
 
 // SetRingWire arms the link matrix: cells are partitioned over shards
 // delivery shards (cell id mod shards), each ordered shard pair gets
-// one Link with a linkCap-deep fast path, DrainInbox moves at most
+// one RingLink with a linkCap-deep fast path, DrainInbox moves at most
 // linkCap packets per lock, and wake is called with the consuming
 // shard once per Flush that published to it. track, when non-nil,
 // counts undelivered cross-shard packets per destination cell
 // (charged by Flush, uncharged after the handlers return) — the
-// machine's per-partition drain doorbell. mutexLinks selects the
-// reference MutexLink build instead of RingLink. Install before
-// traffic flows.
+// machine's per-partition drain doorbell. mutexLinks must be false:
+// the per-packet reference build it selected is gone (the parameter
+// stays for bench/probes.go). Install before traffic flows.
 func (n *Network) SetRingWire(shards, linkCap int, wake func(shard int), mutexLinks bool, track func(dst topology.CellID, delta int64)) {
-	if shards <= 0 {
-		panic(fmt.Sprintf("tnet: %d delivery shards", shards))
+	if shards <= 0 || mutexLinks {
+		panic(fmt.Sprintf("tnet: %d delivery shards, mutexLinks %v", shards, mutexLinks))
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if wake == nil {
 		wake = func(int) {}
 	}
-	rw := &ringWire{shards: shards, links: make([][]Link, shards), shard: make([]shardBufs, shards), wake: wake, track: track}
+	rw := &ringWire{shards: shards, links: make([][]*RingLink, shards), shard: make([]shardBufs, shards), wake: wake, track: track}
 	for s := range rw.shard {
 		rw.shard[s].out = make([][]Packet, shards)
 		rw.shard[s].in = make([]Packet, max(linkCap, 1))
 	}
 	for cons := range rw.links {
-		rw.links[cons] = make([]Link, shards)
+		rw.links[cons] = make([]*RingLink, shards)
 		for prod := range rw.links[cons] {
-			if mutexLinks {
-				rw.links[cons][prod] = NewMutexLink(linkCap)
-			} else {
-				rw.links[cons][prod] = NewRingLink(linkCap)
-			}
+			rw.links[cons][prod] = NewRingLink(linkCap)
 		}
 	}
 	n.ring = rw
@@ -285,8 +280,9 @@ func (n *Network) Send(p Packet) bool {
 // installed the injector first decides the attempt's fate: the packet
 // may be dropped, corrupted, duplicated or held back before it is
 // routed, and the reliable layer reads false as "retransmit". Every
-// call counts as one wire message (attempts, not unique packets). The
-// packet is read, never retained.
+// call counts as one wire message of its op (attempts, not unique
+// packets); an op outside msc.NumOps panics. The packet is read, never
+// retained.
 func (n *Network) Transmit(p *Packet) bool {
 	src, dst := p.Head.Src, p.Head.Dst
 	if !n.torus.Valid(dst) {
@@ -296,13 +292,14 @@ func (n *Network) Transmit(p *Packet) bool {
 		panic(fmt.Sprintf("tnet: cross-partition send %d->%d (partition %d -> %d): partitions have disjoint T-net routing",
 			src, dst, of[src], of[dst]))
 	}
+	op := int(p.Head.Op)
+	if op >= msc.NumOps {
+		panic(fmt.Sprintf("tnet: send of unknown op %d", op))
+	}
 	s := &n.stats[int(src)%len(n.stats)]
-	s.messages.Add(1)
+	s.perOp[op].Add(1)
 	s.bytes.Add(p.Payload.Size())
 	s.hops.Add(int64(n.torus.Distance(src, dst)))
-	if op := int(p.Head.Op); op < len(s.perOp) {
-		s.perOp[op].Add(1)
-	}
 	if inj := n.inj; inj != nil {
 		return n.faultySend(inj, p)
 	}
@@ -504,16 +501,18 @@ func (n *Network) DropHeld(p Packet) {
 	n.mu.Unlock()
 }
 
-// Stats snapshots traffic counters, summed over the shards.
+// Stats snapshots traffic counters, summed over the shards; Messages
+// is PerOp's sum, so a snapshot never reads the two out of step.
 func (n *Network) Stats() Stats {
 	var s Stats
 	for i := range n.stats {
 		sh := &n.stats[i]
-		s.Messages += sh.messages.Load()
 		s.Bytes += sh.bytes.Load()
 		s.HopsTotal += sh.hops.Load()
 		for op := range sh.perOp {
-			s.PerOp[op] += sh.perOp[op].Load()
+			k := sh.perOp[op].Load()
+			s.PerOp[op] += k
+			s.Messages += k
 		}
 	}
 	return s

@@ -98,6 +98,7 @@ func TestAttachErrors(t *testing.T) {
 		func() { n.Attach(1, nil) },                                // nil handler
 		func() { n.Send(Packet{Head: msc.Command{Dst: 99}}) },
 		func() { n.Send(Packet{Head: msc.Command{Dst: 1}}) }, // unattached
+		func() { n.SetRingWire(2, 4, nil, true, nil) },       // the reference link build is gone
 	} {
 		func() {
 			defer func() {
@@ -138,5 +139,26 @@ func TestConcurrentSenders(t *testing.T) {
 	}
 	if n.Stats().Messages != 400 {
 		t.Fatalf("stats = %+v", n.Stats())
+	}
+}
+
+// TestStatsUnknownOp pins the other half of Messages being the sum of
+// PerOp: an op with no counter panics in Transmit, as an invalid
+// destination does, and counts nothing.
+func TestStatsUnknownOp(t *testing.T) {
+	n, _ := newNet(t)
+	for id := 0; id < 4; id++ {
+		n.Attach(topology.CellID(id), func(Packet) bool { return true })
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("send of op msc.NumOps did not panic")
+			}
+		}()
+		n.Send(Packet{Head: msc.Command{Op: msc.Op(msc.NumOps), Src: 0, Dst: 1}})
+	}()
+	if s := n.Stats(); s.Messages != 0 {
+		t.Fatalf("stats after the rejected send = %+v", s)
 	}
 }
