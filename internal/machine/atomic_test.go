@@ -174,7 +174,7 @@ func TestAtomicPageFault(t *testing.T) {
 
 // TestAtomicCombining: the combined machine produces the identical
 // final count and the same exactly-once fetch multiset as the plain
-// one, while absorbing requests into stations.
+// one, while absorbing requests into folds.
 func TestAtomicCombining(t *testing.T) {
 	run := func(combining bool) (uint64, map[int64]int, int64) {
 		m := newMachine(t, Config{Width: 4, Height: 4, Observe: true, Combining: combining})
@@ -226,8 +226,8 @@ func TestAtomicCombining(t *testing.T) {
 	t.Logf("combined run absorbed %d of %d requests", combCombined, 16*200)
 }
 
-// TestAtomicCombiningMinMax: combinable min/max fold correctly through
-// stations.
+// TestAtomicCombiningMinMax: combinable min/max fold correctly in the
+// delivery workers' folds.
 func TestAtomicCombiningMinMax(t *testing.T) {
 	m := newMachine(t, Config{Width: 4, Height: 4, Combining: true})
 	addr := allocWords(t, m)

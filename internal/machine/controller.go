@@ -26,6 +26,11 @@ const drainBatch = 16
 // of this call — including inline packet delivery on the destination
 // cell — executes as this controller's logical thread.
 func (m *Machine) process(c *Cell, cmd *msc.Command) {
+	if c.folded {
+		// One held request per cell: its fold leaves before the cell's
+		// next command does.
+		m.pool.workers[c.shard].emit()
+	}
 	// Only the worker that owns this cell emits slices on its MSC
 	// track, so the X slices nest cleanly.
 	var tl *obs.Timeline

@@ -68,10 +68,11 @@ type CellCounters struct {
 
 	// Remote-atomic activity. Atomics counts requests this cell's CPU
 	// issued; AtomicsExecuted RMWs this cell's controller performed as
-	// the word's owner; AtomicsCombined requests absorbed into T-net
-	// combining stations instead of reaching the wire (Config.Combining);
-	// AtomicReplays duplicate requests served from the reliable path's
-	// result-replay cache instead of re-executing.
+	// the word's owner; AtomicsCombined requests absorbed into a
+	// combining fold opened by an earlier request instead of reaching
+	// the wire (Config.Combining); AtomicReplays duplicate requests
+	// served from the reliable path's result-replay cache instead of
+	// re-executing.
 	Atomics, AtomicsExecuted       atomic.Int64
 	AtomicsCombined, AtomicReplays atomic.Int64
 

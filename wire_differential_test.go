@@ -127,7 +127,7 @@ func wireDiffOracle(np int) [][]byte {
 // the memory its closed form predicts — an oracle that shares no code
 // with receive/deliver — and the same flag counts, on every delivery
 // shape: one worker (everything inline), several (links), one per
-// cell, combining's inline transport, and under seeded fault plans on
+// cell, combining on links, and under seeded fault plans on
 // the same shapes (retransmission and dedup, inline and over links).
 // Run under -race in make verify.
 func TestWireDifferential(t *testing.T) {
