@@ -12,9 +12,12 @@
 # flag wait, and the gate's verdict must not depend on the host's core
 # count. The MSC+ front tests (one CPU producer on the SPSC send
 # rings, several reply producers, one consumer) run the same way, for
-# the same reason. BenchmarkAggregator runs once so its table cannot
-# rot. The bench module is vetted and tested on its own lines: it
-# compiles against internal/ APIs but the root ./... does not see it.
+# the same reason. Every line pinned to a GOMAXPROCS passes -count=1:
+# go test's cache does not key on GOMAXPROCS, so the second line of a
+# pair would otherwise replay the first. BenchmarkAggregator and
+# BenchmarkAppKernels run once so their tables cannot rot. The bench
+# module is vetted and tested on its own lines: it compiles against
+# internal/ APIs but the root ./... does not see it.
 # CI and pre-commit should run `make verify`.
 
 GO ?= go
@@ -70,20 +73,21 @@ verify:
 	diff -u apvet.baseline.json apvet.json
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestConcurrentFIFOProperty|TestOverflowConcurrentFIFO' ./internal/ring/
-	GOMAXPROCS=1 $(GO) test -race -run TestWireDifferential .
-	GOMAXPROCS=4 $(GO) test -race -run TestWireDifferential .
-	GOMAXPROCS=1 $(GO) test -race -run '$(STAGING_TESTS)' ./internal/tnet/
-	GOMAXPROCS=4 $(GO) test -race -run '$(STAGING_TESTS)' ./internal/tnet/
-	GOMAXPROCS=1 $(GO) test -race -run 'TestRingFront|TestMSC' ./internal/msc/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestRingFront|TestMSC' ./internal/msc/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run TestWireDifferential .
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run TestWireDifferential .
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(STAGING_TESTS)' ./internal/tnet/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run '$(STAGING_TESTS)' ./internal/tnet/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestRingFront|TestMSC' ./internal/msc/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestRingFront|TestMSC' ./internal/msc/
 	$(GO) test -run 'TestPutIssueZeroAllocUnobserved|TestBatchIssueZeroAllocUnobserved|TestStridePutZeroAllocUnobserved' .
 	$(GO) test -run TestDSMCacheHitZeroAlloc ./internal/dsm/
 	$(GO) test -run TestPGASAggregatedZeroAlloc ./internal/pgas/
-	GOMAXPROCS=1 $(GO) test -race -run TestAggOverflowOrder ./internal/pgas/
-	GOMAXPROCS=4 $(GO) test -race -run TestAggOverflowOrder ./internal/pgas/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run TestAggOverflowOrder ./internal/pgas/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run TestAggOverflowOrder ./internal/pgas/
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(COMBINING_TESTS)' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run '$(COMBINING_TESTS)' .
 	$(GO) test -run '^$$' -bench BenchmarkAggregator -benchtime=1x ./internal/pgas/
+	$(GO) test -run '^$$' -bench BenchmarkAppKernels -benchtime=1x ./internal/apps/
 	$(GO) test -run 'TestTablesDeterministicOrder|TestReplayGolden' ./internal/stats/ ./internal/mlsim/
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'TestAtomicHotCounterMessages|TestNeighborRingAtScale|TestCoalesceCommandCounts' . ./internal/machine/
 	$(MAKE) chaos

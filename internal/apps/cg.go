@@ -42,6 +42,39 @@ func TestCG() CGConfig { return CGConfig{Cells: 4, N: 96, Band: 3, Outer: 2, Inn
 // off-diagonals decaying with distance, strictly diagonally dominant.
 type cgMatrix struct {
 	n, band int
+	// w is one column of the band: w[band+i-j] = at(i, j) for
+	// |i-j| <= band, built once so the mat-vec neither branches nor
+	// divides per element.
+	w []float64
+}
+
+func newCGMatrix(n, band int) cgMatrix {
+	a := cgMatrix{n: n, band: band}
+	a.w = make([]float64, 2*band+1)
+	for t := range a.w {
+		a.w[t] = a.at(t, band)
+	}
+	return a
+}
+
+// mulCols adds A[:, lo:hi] * p[lo:hi] into q and returns the flops.
+// Each q[i] receives its column terms in ascending j, exactly as the
+// element-wise loop over at(i, j) would add them.
+func (a cgMatrix) mulCols(q, p []float64, lo, hi int) int {
+	flops := 0
+	for j := lo; j < hi; j++ {
+		pj := p[j]
+		jlo := max(j-a.band, 0)
+		jhi := min(j+a.band, a.n-1)
+		qs := q[jlo : jhi+1]
+		ws := a.w[jlo-j+a.band:]
+		ws = ws[:len(qs)]
+		for i := range qs {
+			qs[i] += ws[i] * pj
+		}
+		flops += 2 * len(qs)
+	}
+	return flops
 }
 
 func (a cgMatrix) at(i, j int) float64 {
@@ -86,7 +119,7 @@ func NewCG(cfg CGConfig) (*Instance, error) {
 	}
 	np := in.Machine.Cells()
 	n := cfg.N
-	a := cgMatrix{n: n, band: cfg.Band}
+	a := newCGMatrix(n, cfg.Band)
 	block := vpp.BlockSize(n, np)
 
 	// zfull on cell 0 collects every cell's solution slice — the
@@ -140,23 +173,7 @@ func NewCG(cfg CGConfig) (*Instance, error) {
 				for i := range q {
 					q[i] = 0
 				}
-				flops := 0.0
-				for j := lo; j < hi; j++ {
-					pj := p[j]
-					jlo := j - cfg.Band
-					if jlo < 0 {
-						jlo = 0
-					}
-					jhi := j + cfg.Band
-					if jhi > n-1 {
-						jhi = n - 1
-					}
-					for i := jlo; i <= jhi; i++ {
-						q[i] += a.at(i, j) * pj
-					}
-					flops += float64(2 * (jhi - jlo + 1))
-				}
-				rt.Compute(flopUS(flops))
+				rt.Compute(flopUS(float64(a.mulCols(q, p, lo, hi))))
 				rt.Barrier()
 				// The dominating vector global summation (11200 B).
 				if err := rt.GlobalSumVec(q); err != nil {

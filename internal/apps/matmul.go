@@ -107,17 +107,7 @@ func NewMatMul(cfg MatMulConfig) (*Instance, error) {
 				}
 			}
 			// Multiply: C[mine, :] += A[mine, olo:ohi] * Bblock.
-			bs := cur.slice(r)
-			for i := 0; i < mine; i++ {
-				for k := olo; k < ohi; k++ {
-					aik := a[i*n+k]
-					brow := bs[(k-olo)*n:]
-					crow := c[i*n:]
-					for j := 0; j < n; j++ {
-						crow[j] += aik * brow[j]
-					}
-				}
-			}
+			mulBlock(c, a, cur.slice(r), n, mine, olo, ohi)
 			rt.Compute(flopUS(float64(2 * mine * (ohi - olo) * n)))
 			if step < np-1 {
 				// Our send DMA must have captured the outgoing block
@@ -151,4 +141,79 @@ func NewMatMul(cfg MatMulConfig) (*Instance, error) {
 		return nil
 	}
 	return in, nil
+}
+
+// mulBlock adds A[0:mine, olo:ohi] x B into C: a and c hold mine rows
+// of n, bs holds the ohi-olo rows of the B block. Every element of C
+// receives the same rounded multiply-adds, k ascending, as the plain
+// i-k-j loop (Go fuses only an explicit math.FMA on amd64), but the
+// work is blocked two rows of C by four values of k, so each C value
+// is loaded and stored once per four B rows.
+func mulBlock(c, a, bs []float64, n, mine, olo, ohi int) {
+	i := 0
+	for ; i+2 <= mine; i += 2 {
+		c0, c1 := c[i*n:(i+1)*n], c[(i+1)*n:(i+2)*n]
+		c1 = c1[:len(c0)]
+		a0, a1 := a[i*n:(i+1)*n], a[(i+1)*n:(i+2)*n]
+		k := olo
+		for ; k+4 <= ohi; k += 4 {
+			b0, b1, b2, b3 := bRows4(bs, n, k-olo)
+			x0, x1, x2, x3 := a0[k], a0[k+1], a0[k+2], a0[k+3]
+			y0, y1, y2, y3 := a1[k], a1[k+1], a1[k+2], a1[k+3]
+			b0, b1, b2, b3 = b0[:len(c0)], b1[:len(c0)], b2[:len(c0)], b3[:len(c0)]
+			for j := range c0 {
+				s := c0[j]
+				s += x0 * b0[j]
+				s += x1 * b1[j]
+				s += x2 * b2[j]
+				s += x3 * b3[j]
+				c0[j] = s
+				t := c1[j]
+				t += y0 * b0[j]
+				t += y1 * b1[j]
+				t += y2 * b2[j]
+				t += y3 * b3[j]
+				c1[j] = t
+			}
+		}
+		for ; k < ohi; k++ {
+			b0 := bs[(k-olo)*n : (k-olo+1)*n]
+			x0, y0 := a0[k], a1[k]
+			b0 = b0[:len(c0)]
+			for j := range c0 {
+				c0[j] += x0 * b0[j]
+				c1[j] += y0 * b0[j]
+			}
+		}
+	}
+	if i < mine {
+		c0, a0 := c[i*n:(i+1)*n], a[i*n:(i+1)*n]
+		k := olo
+		for ; k+4 <= ohi; k += 4 {
+			b0, b1, b2, b3 := bRows4(bs, n, k-olo)
+			x0, x1, x2, x3 := a0[k], a0[k+1], a0[k+2], a0[k+3]
+			b0, b1, b2, b3 = b0[:len(c0)], b1[:len(c0)], b2[:len(c0)], b3[:len(c0)]
+			for j := range c0 {
+				s := c0[j]
+				s += x0 * b0[j]
+				s += x1 * b1[j]
+				s += x2 * b2[j]
+				s += x3 * b3[j]
+				c0[j] = s
+			}
+		}
+		for ; k < ohi; k++ {
+			b0 := bs[(k-olo)*n : (k-olo+1)*n]
+			x0 := a0[k]
+			b0 = b0[:len(c0)]
+			for j := range c0 {
+				c0[j] += x0 * b0[j]
+			}
+		}
+	}
+}
+
+// bRows4 returns rows r..r+3 of the B block bs (rows of n).
+func bRows4(bs []float64, n, r int) (b0, b1, b2, b3 []float64) {
+	return bs[r*n : (r+1)*n], bs[(r+1)*n : (r+2)*n], bs[(r+2)*n : (r+3)*n], bs[(r+3)*n : (r+4)*n]
 }

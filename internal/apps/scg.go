@@ -70,29 +70,15 @@ func NewSCG(cfg SCGConfig) (*Instance, error) {
 		xs := xsol.slice(r) // same layout
 		rres := make([]float64, rows*g)
 		q := make([]float64, rows*g)
+		zero := make([]float64, g) // a neighbour row outside the grid
 		diag := 4.0
 
-		// b = A * ones (interior-truncated 5-point operator), so the
-		// solution is all-ones; scaled CG preconditions by 1/diag.
-		bAt := func(gr, gc int) float64 {
-			b := diag
-			if gr > 0 {
-				b -= 1
-			}
-			if gr < g-1 {
-				b -= 1
-			}
-			if gc > 0 {
-				b -= 1
-			}
-			if gc < g-1 {
-				b -= 1
-			}
-			return b
-		}
+		// b = A * ones, so the solution is all-ones; scaled CG
+		// preconditions by 1/diag.
+		bv := scgRHS(lo, rows, g, diag)
+		copy(rres, bv)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < g; j++ {
-				rres[i*g+j] = bAt(lo+i, j)
 				ps[(1+i)*g+j] = rres[i*g+j] / diag // p = z = M^-1 r
 			}
 		}
@@ -150,22 +136,7 @@ func NewSCG(cfg SCGConfig) (*Instance, error) {
 
 			// q = A p over owned rows (5-point stencil; halo rows
 			// supply the off-block terms).
-			pAt := func(i, j int) float64 {
-				// i in halo coordinates: -1..rows; global row lo+i.
-				gr := lo + i
-				if gr < 0 || gr >= g || j < 0 || j >= g {
-					return 0
-				}
-				return ps[(1+i)*g+j]
-			}
-			pq := 0.0
-			for i := 0; i < rows; i++ {
-				for j := 0; j < g; j++ {
-					v := diag*pAt(i, j) - pAt(i-1, j) - pAt(i+1, j) - pAt(i, j-1) - pAt(i, j+1)
-					q[i*g+j] = v
-					pq += pAt(i, j) * v
-				}
-			}
+			pq := scgApply(q, ps, zero, lo, rows, g, diag)
 			rt.Compute(flopUS(float64(11 * rows * g)))
 			pq = rt.GlobalSum(pq)
 			alpha := rho / pq
@@ -182,21 +153,7 @@ func NewSCG(cfg SCGConfig) (*Instance, error) {
 			if err := exchange(xsol); err != nil {
 				return err
 			}
-			xAt := func(i, j int) float64 {
-				gr := lo + i
-				if gr < 0 || gr >= g || j < 0 || j >= g {
-					return 0
-				}
-				return xs[(1+i)*g+j]
-			}
-			rzLocal := 0.0
-			for i := 0; i < rows; i++ {
-				for j := 0; j < g; j++ {
-					ax := diag*xAt(i, j) - xAt(i-1, j) - xAt(i+1, j) - xAt(i, j-1) - xAt(i, j+1)
-					rres[i*g+j] = bAt(lo+i, j) - ax
-					rzLocal += rres[i*g+j] * rres[i*g+j] / diag
-				}
-			}
+			rzLocal := scgResidual(rres, xs, bv, zero, lo, rows, g, diag)
 			rt.Compute(flopUS(float64(12 * rows * g)))
 			rhoNew := rt.GlobalSum(rzLocal)
 			if math.Sqrt(rhoNew) < cfg.Tol {
@@ -242,4 +199,89 @@ func NewSCG(cfg SCGConfig) (*Instance, error) {
 		return nil
 	}
 	return in, nil
+}
+
+// scgRHS returns b = A * ones over rows [lo, lo+rows) of the g x g
+// grid, for the interior-truncated 5-point operator with diagonal diag.
+func scgRHS(lo, rows, g int, diag float64) []float64 {
+	bv := make([]float64, rows*g)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < g; j++ {
+			b := diag
+			if lo+i > 0 {
+				b -= 1
+			}
+			if lo+i < g-1 {
+				b -= 1
+			}
+			if j > 0 {
+				b -= 1
+			}
+			if j < g-1 {
+				b -= 1
+			}
+			bv[i*g+j] = b
+		}
+	}
+	return bv
+}
+
+// scgApply sets q = A p over the owned rows of the halo'd p (see
+// stencil5) and returns the local p.q, summed in row-major order.
+func scgApply(q, ps, zero []float64, lo, rows, g int, diag float64) float64 {
+	stencil5(q, ps, zero, lo, rows, g, diag)
+	pq := 0.0
+	pm := ps[g : g+len(q)] // the owned rows of p
+	for k, v := range q {
+		pq += pm[k] * v
+	}
+	return pq
+}
+
+// scgResidual sets rres = b - A x over the owned rows of the halo'd x
+// and returns the local rres.rres/diag, summed in row-major order.
+func scgResidual(rres, xs, bv, zero []float64, lo, rows, g int, diag float64) float64 {
+	stencil5(rres, xs, zero, lo, rows, g, diag)
+	rz := 0.0
+	bv = bv[:len(rres)]
+	for k, ax := range rres {
+		rres[k] = bv[k] - ax
+		rz += rres[k] * rres[k] / diag
+	}
+	return rz
+}
+
+// stencil5 sets out (rows x g) to the 5-point operator over the owned
+// rows of buf, laid out [halo | rows | halo] with rows g wide and the
+// first owned row at global row lo of a g x g grid:
+//
+//	out[i][j] = diag*u[i][j] - u[i-1][j] - u[i+1][j] - u[i][j-1] - u[i][j+1]
+//
+// subtracted in that order. A neighbour row outside the grid is read
+// from zero; a neighbour column outside it is skipped, which is exact
+// because x - 0 == x bit for bit.
+func stencil5(out, buf, zero []float64, lo, rows, g int, diag float64) {
+	for i := 0; i < rows; i++ {
+		up, mid, down := buf[i*g:(i+1)*g], buf[(i+1)*g:(i+2)*g], buf[(i+2)*g:(i+3)*g]
+		if lo+i == 0 {
+			up = zero
+		}
+		if lo+i == g-1 {
+			down = zero
+		}
+		o := out[i*g : (i+1)*g]
+		if g == 1 {
+			o[0] = diag*mid[0] - up[0] - down[0]
+			continue
+		}
+		o[0] = diag*mid[0] - up[0] - down[0] - mid[1]
+		// Interior columns: every slice below is g-2 long.
+		oc, uc, dc := o[1:g-1], up[1:g-1], down[1:g-1]
+		ml, mc, mr := mid[:g-2], mid[1:g-1], mid[2:]
+		uc, dc, ml, mc, mr = uc[:len(oc)], dc[:len(oc)], ml[:len(oc)], mc[:len(oc)], mr[:len(oc)]
+		for j := range oc {
+			oc[j] = diag*mc[j] - uc[j] - dc[j] - ml[j] - mr[j]
+		}
+		o[g-1] = diag*mid[g-1] - up[g-1] - down[g-1] - mid[g-2]
+	}
 }
