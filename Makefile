@@ -10,9 +10,13 @@
 # overflow-order gate reruns under -race on one core and on four: the
 # aggregator reuses its outgoing regions on the strength of the send
 # flag wait, and the gate's verdict must not depend on the host's core
-# count. The MSC+ front tests (one CPU producer on the SPSC send
-# rings, several reply producers, one consumer) run the same way, for
-# the same reason. Every line pinned to a GOMAXPROCS passes -count=1:
+# count. The MSC+ front tests (one producer per SPSC queue, one
+# consumer) run the same way, for the same reason, and so do the
+# sanitizer tests — without -race, because the seeded-race ones run a
+# real data race and skip themselves under it: the send-time clock
+# gate, the per-partition sanitizer and the kernel and example sweeps
+# must give one verdict on one core and on four. Every line pinned to
+# a GOMAXPROCS passes -count=1:
 # go test's cache does not key on GOMAXPROCS, so the second line of a
 # pair would otherwise replay the first. BenchmarkAggregator and
 # BenchmarkAppKernels run once so their tables cannot rot. The bench
@@ -79,6 +83,8 @@ verify:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run '$(STAGING_TESTS)' ./internal/tnet/
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestRingFront|TestMSC' ./internal/msc/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestRingFront|TestMSC' ./internal/msc/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Sanitiz' ./internal/machine/ ./internal/apps/ .
+	GOMAXPROCS=4 $(GO) test -count=1 -run 'Sanitiz' ./internal/machine/ ./internal/apps/ .
 	$(GO) test -run 'TestPutIssueZeroAllocUnobserved|TestBatchIssueZeroAllocUnobserved|TestStridePutZeroAllocUnobserved' .
 	$(GO) test -run TestDSMCacheHitZeroAlloc ./internal/dsm/
 	$(GO) test -run TestPGASAggregatedZeroAlloc ./internal/pgas/

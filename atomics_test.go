@@ -62,6 +62,9 @@ func atomicCounterRun(t *testing.T, side int, plan *FaultPlan, combining, saniti
 		}
 		return nil
 	})
+	if err := m.DrainInvariantErr(); err != nil {
+		t.Fatal(err)
+	}
 	total, err := m.Cell(0).Mem.LoadWord8(seg.Base())
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +159,10 @@ func atomicPrivateRun(t *testing.T, plan *FaultPlan, combining, sanitize bool) (
 // TestAtomicCombinedEqualsUncombined is the equivalence property:
 // turning on combining changes only the message count, never the
 // results — under a plain run, a sanitized run, and a seeded drop+dup
-// plan. The hot counter compares fetch multisets, which a fold's
+// plan, plain and sanitized. Sanitized under the plan, the hot counter
+// must replay some duplicated requests from the result cache: each
+// replayed reply runs under a copy of the original reply's token, and
+// the sanitizer and the drain invariant stay clean. The hot counter compares fetch multisets, which a fold's
 // decombined replies must reproduce; the private-word workload
 // compares every fetched value and final word bit for bit. Whether
 // any request joins a fold on this 2x2 machine is a scheduling race;
@@ -170,12 +176,16 @@ func TestAtomicCombinedEqualsUncombined(t *testing.T) {
 		{"plain", false, ""},
 		{"sanitize", true, ""},
 		{"drop+dup", false, "drop=0.05,dup=0.05,seed=42"},
+		{"sanitize drop+dup", true, "drop=0.05,dup=0.05,seed=42"},
 	}
 	for _, variant := range variants {
 		t.Run(variant.name, func(t *testing.T) {
 			const iters = 100
 			baseTotal, baseFetched, _ := atomicCounterRun(t, 2, mustPlan(t, variant.spec), false, variant.sanitize, iters)
-			combTotal, combFetched, _ := atomicCounterRun(t, 2, mustPlan(t, variant.spec), true, variant.sanitize, iters)
+			combTotal, combFetched, combMetrics := atomicCounterRun(t, 2, mustPlan(t, variant.spec), true, variant.sanitize, iters)
+			if variant.sanitize && variant.spec != "" && combMetrics.Totals().AtomicReplays == 0 {
+				t.Error("hot counter: no duplicated request was replayed")
+			}
 			if combTotal != baseTotal {
 				t.Fatalf("hot counter: combined total = %d, uncombined = %d", combTotal, baseTotal)
 			}
@@ -237,6 +247,9 @@ func TestAtomicBatchStaged(t *testing.T) {
 		comm.FenceAtomics()
 		return nil
 	})
+	if err := m.DrainInvariantErr(); err != nil {
+		t.Fatal(err)
+	}
 	total, err := m.Cell(0).Mem.LoadWord8(seg.Base())
 	if err != nil {
 		t.Fatal(err)

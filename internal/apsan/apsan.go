@@ -17,11 +17,16 @@
 //
 //   - command issue: the CPU's clock rides the queued command and is
 //     acquired by the controller that pops it;
+//   - packet transmit: the sending controller's clock, frozen into a
+//     token at transmit, rides the packet, and the receiving MSC+'s
+//     hooks run under it (the receive DMA may run long after the
+//     sender moved on, so its own clock would claim too much);
 //   - flag increment -> flag wait: the incrementing controller
 //     releases into the flag, the waiting CPU acquires (S4.1 "flag
 //     update combined with data transfer");
 //   - S-net barrier: an episode joins every arriving CPU's clock and
-//     every departure acquires the join (S4.4);
+//     every departure acquires the join, one episode per partition's
+//     barrier domain (S4.4);
 //   - communication-register store -> p-bit load (S4.4);
 //   - message payloads: SEND/broadcast/remote-load-reply payloads
 //     carry the producer's clock to whoever consumes them (S4.3).
@@ -111,15 +116,14 @@ type epoch struct {
 
 // granule is the shadow state of 8 bytes of one cell's DRAM.
 type granule struct {
-	w      epoch   // last write (site == nil when none yet)
-	rd     []epoch // reads since the last write, at most one per tid
-	rdView []epoch // scratch to avoid realloc (unused slots)
+	w  epoch   // last write (site == nil when none yet)
+	rd []epoch // reads since the last write, at most one per tid
 }
 
 // token is a released clock snapshot carried by commands/payloads.
 type token struct{ vc []uint64 }
 
-// episode is one all-cells barrier generation.
+// episode is one barrier generation of one S-net domain.
 type episode struct {
 	vc     []uint64
 	joined int
@@ -130,20 +134,23 @@ type episode struct {
 // trade speed for checking).
 type Sanitizer struct {
 	mu     sync.Mutex
-	cells  int
 	clocks [][]uint64 // per tid
 
 	flags map[uint64][]uint64 // (cell, flag)  -> released clock
 	cregs map[uint64][]uint64 // (cell, index) -> released clock
-	bar   *episode
+	bars  map[int]*episode    // open episode per barrier domain
 
 	shadow map[uint64]*granule
 
 	// parked holds tokens released through ReleaseHandle, so carriers
-	// that must stay pointer-free (the MSC+ command words) can refer
-	// to them by a compact id instead of an interface.
+	// that must stay pointer-free (the MSC+ command words and packet
+	// headers) can refer to them by a compact id instead of an
+	// interface. Every handle is consumed exactly once, by
+	// AcquireHandle or Drop; stale counts hooks that named a consumed
+	// handle, whose checks were skipped.
 	parked     map[int64]*token
 	nextHandle int64
+	stale      int
 
 	reports    []Report
 	suppressed int
@@ -159,10 +166,10 @@ type Sanitizer struct {
 func New(cells int) *Sanitizer {
 	n := 2 * cells
 	s := &Sanitizer{
-		cells:  cells,
 		clocks: make([][]uint64, n),
 		flags:  make(map[uint64][]uint64),
 		cregs:  make(map[uint64][]uint64),
+		bars:   make(map[int]*episode),
 		shadow: make(map[uint64]*granule),
 		parked: make(map[int64]*token),
 		seen:   make(map[string]bool),
@@ -231,6 +238,58 @@ func (s *Sanitizer) AcquireHandle(tid int, h int64) {
 	s.mu.Unlock()
 }
 
+// Drop frees the token parked under h without acquiring it: its
+// carrier was delivered to a hook that only read it, or given up.
+// Dropping handle 0 or a consumed handle is a no-op.
+func (s *Sanitizer) Drop(h int64) {
+	if h == 0 {
+		return
+	}
+	s.mu.Lock()
+	delete(s.parked, h)
+	s.mu.Unlock()
+}
+
+// Copy parks a copy of the token under h and returns its handle, for
+// a carrier that stands in for h's own; 0 when h is not parked.
+func (s *Sanitizer) Copy(h int64) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.parked[h]
+	if h == 0 || t == nil {
+		return 0
+	}
+	s.nextHandle++
+	s.parked[s.nextHandle] = &token{vc: append([]uint64(nil), t.vc...)}
+	return s.nextHandle
+}
+
+// TokenErr reports a broken handle discipline: tokens still parked (a
+// drained machine has none) or hooks run under a consumed handle.
+func (s *Sanitizer) TokenErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.parked); n != 0 || s.stale != 0 {
+		return fmt.Errorf("apsan: %d tokens still parked, %d hooks under a consumed token", n, s.stale)
+	}
+	return nil
+}
+
+// clock is the vector clock a hook of tid runs under: the token parked
+// under h, frozen at its release, or tid's live clock when h is 0. A
+// consumed h yields nil and counts as stale: the hook is skipped, and
+// Err and TokenErr report it. Called with s.mu held.
+func (s *Sanitizer) clock(tid int, h int64) []uint64 {
+	if h == 0 {
+		return s.clocks[tid]
+	}
+	if t := s.parked[h]; t != nil {
+		return t.vc
+	}
+	s.stale++
+	return nil
+}
+
 // Acquire joins a previously released token into tid's clock. A nil
 // token (unsanitized producer) is a no-op.
 func (s *Sanitizer) Acquire(tid int, h any) {
@@ -251,23 +310,40 @@ func flagKey(cell int, flag int32) uint64 {
 }
 
 // FlagInc records that tid is about to increment (cell, flag): the
-// thread's clock is released into the flag. Call BEFORE the actual
-// mc.Flags.Inc so a waiter can never observe the increment first.
-// Flag 0 (NoFlag) is a no-op, like the hardware.
-func (s *Sanitizer) FlagInc(tid, cell int, flag int32) {
+// clock tid runs under (token h, or its live clock when h is 0) is
+// released into the flag. Call BEFORE the actual mc.Flags.Inc so a
+// waiter can never observe the increment first. A live clock then
+// advances; a token's never does, so a delivery makes its accesses
+// before its releases. Flag 0 (NoFlag) is a no-op, like the hardware.
+func (s *Sanitizer) FlagInc(tid int, h int64, cell int, flag int32) {
 	if flag == 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := flagKey(cell, flag)
-	vc := s.flags[k]
-	if vc == nil {
-		vc = make([]uint64, len(s.clocks))
-		s.flags[k] = vc
+	s.release(s.flags, tid, h, cell, flag, 1)
+}
+
+// release joins the clock tid runs under into the n release channels
+// (cell, first) .. (cell, first+n-1) of m, then advances tid's live
+// clock (a token stays frozen). Called with s.mu held.
+func (s *Sanitizer) release(m map[uint64][]uint64, tid int, h int64, cell int, first int32, n int) {
+	src := s.clock(tid, h)
+	if src == nil {
+		return
 	}
-	join(vc, s.clocks[tid])
-	s.clocks[tid][tid]++
+	for i := int32(0); i < int32(n); i++ {
+		k := flagKey(cell, first+i)
+		vc := m[k]
+		if vc == nil {
+			vc = make([]uint64, len(s.clocks))
+			m[k] = vc
+		}
+		join(vc, src)
+	}
+	if h == 0 {
+		src[tid]++
+	}
 }
 
 // FlagWaited records that tid's wait on (cell, flag) completed: the
@@ -285,20 +361,12 @@ func (s *Sanitizer) FlagWaited(tid, cell int, flag int32) {
 }
 
 // CregStore records a store (with p-bit set) to communication
-// register idx of cell; widthWords is 1 or 2. Call BEFORE the store.
-func (s *Sanitizer) CregStore(tid, cell, idx, widthWords int) {
+// register idx of cell under the clock tid runs under (token h, or its
+// live clock when h is 0); widthWords is 1 or 2. Call BEFORE the store.
+func (s *Sanitizer) CregStore(tid int, h int64, cell, idx, widthWords int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for w := 0; w < widthWords; w++ {
-		k := flagKey(cell, int32(idx+w))
-		vc := s.cregs[k]
-		if vc == nil {
-			vc = make([]uint64, len(s.clocks))
-			s.cregs[k] = vc
-		}
-		join(vc, s.clocks[tid])
-	}
-	s.clocks[tid][tid]++
+	s.release(s.cregs, tid, h, cell, int32(idx), widthWords)
 }
 
 // CregLoaded records a completed p-bit load of register idx on cell.
@@ -313,24 +381,26 @@ func (s *Sanitizer) CregLoaded(tid, cell, idx, widthWords int) {
 	}
 }
 
-// BarrierArrive joins tid into the current S-net episode and returns
-// an opaque episode token. Call BEFORE snet.Arrive. Because Arrive
-// blocks until every cell joined, the token's clock is complete by
-// the time any BarrierDone runs.
-func (s *Sanitizer) BarrierArrive(tid int) any {
+// BarrierArrive joins tid into the current episode of S-net domain
+// dom, whose barrier spans size cells, and returns an opaque episode
+// token. Call BEFORE snet.Arrive. Because Arrive blocks until every
+// cell of the domain joined, the token's clock is complete by the time
+// any BarrierDone runs; the domains of a partitioned machine keep
+// separate episodes, so one tenant's barriers never order another's.
+func (s *Sanitizer) BarrierArrive(tid, dom, size int) any {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.bar == nil {
-		s.bar = &episode{vc: make([]uint64, len(s.clocks))}
+	ep := s.bars[dom]
+	if ep == nil {
+		ep = &episode{vc: make([]uint64, len(s.clocks))}
+		s.bars[dom] = ep
 	}
-	join(s.bar.vc, s.clocks[tid])
+	join(ep.vc, s.clocks[tid])
 	s.clocks[tid][tid]++
-	tok := s.bar
-	s.bar.joined++
-	if s.bar.joined == s.cells {
-		s.bar = nil // next episode starts fresh
+	if ep.joined++; ep.joined == size {
+		delete(s.bars, dom) // next episode starts fresh
 	}
-	return tok
+	return ep
 }
 
 // BarrierDone acquires the episode joined by BarrierArrive. Call
@@ -345,22 +415,42 @@ func (s *Sanitizer) BarrierDone(tid int, tok any) {
 	s.mu.Unlock()
 }
 
+// Quiesce records a drain of cells [lo, lo+n): everything their CPU
+// and controller threads did before it happens before everything they
+// do after — the edge between two jobs run back to back on one
+// partition.
+func (s *Sanitizer) Quiesce(lo, n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	all := make([]uint64, len(s.clocks))
+	for t := s.CPU(lo); t < s.CPU(lo+n); t++ {
+		join(all, s.clocks[t])
+	}
+	for t := s.CPU(lo); t < s.CPU(lo+n); t++ {
+		join(s.clocks[t], all)
+	}
+}
+
 func shadowKey(cell int, gaddr uint64) uint64 {
 	return uint64(cell)<<40 | gaddr/granuleBytes
 }
 
-// Access checks and records one simulated memory access by tid: a
+// Access checks and records one simulated memory access by tid under
+// the clock it runs under (token h, or its live clock when h is 0): a
 // stride pattern of count items of itemSize bytes starting at addr in
 // memCell's DRAM, with skip bytes between items. op labels the
 // user-visible operation for reports. write distinguishes receive-DMA
 // stores from capture reads.
-func (s *Sanitizer) Access(tid, cell int, write bool, memCell int, addr uint64, itemSize, count, skip int64, op string) {
+func (s *Sanitizer) Access(tid int, h int64, cell int, write bool, memCell int, addr uint64, itemSize, count, skip int64, op string) {
 	if count <= 0 || itemSize <= 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	vc := s.clocks[tid]
+	vc := s.clock(tid, h)
+	if vc == nil {
+		return
+	}
 	site := &Site{Cell: cell, Tid: tid, Op: op, Addr: addr, Size: itemSize * count, MemCell: memCell}
 	now := epoch{tid: tid, clock: vc[tid], site: site}
 
@@ -491,11 +581,15 @@ func (s *Sanitizer) Reports() []Report {
 }
 
 // Err returns nil when the run was race-free, or an error detailing
-// the first report and the total count.
+// the first report and the total count. Hooks run under a consumed
+// token skipped their checks, so they fail the run too.
 func (s *Sanitizer) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.reports) == 0 {
+		if s.stale != 0 {
+			return fmt.Errorf("apsan: %d hooks ran under a consumed token; their checks were skipped", s.stale)
+		}
 		return nil
 	}
 	total := len(s.reports) + s.suppressed

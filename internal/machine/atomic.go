@@ -31,12 +31,12 @@ type atomicResult struct {
 
 // newAtomicWaiter registers a completion callback and returns its
 // tag. Tags are never 0 (0 marks a non-fetching update on the wire).
-func (c *Cell) newAtomicWaiter(fn func(val int64, ok bool, exec int)) int64 {
+func (c *Cell) newAtomicWaiter(fn func(val int64, ok bool, exec sanClock)) int64 {
 	c.atomicMu.Lock()
 	defer c.atomicMu.Unlock()
 	c.atomicSeq++
 	if c.atomicWait == nil {
-		c.atomicWait = make(map[int64]func(val int64, ok bool, exec int))
+		c.atomicWait = make(map[int64]func(val int64, ok bool, exec sanClock))
 	}
 	c.atomicWait[c.atomicSeq] = fn
 	return c.atomicSeq
@@ -46,7 +46,7 @@ func (c *Cell) newAtomicWaiter(fn func(val int64, ok bool, exec int)) int64 {
 // tolerated silently — under a fault plan the owner may replay a
 // result whose original reply already completed the waiter (unlike
 // completeLoad, where an unknown tag is a protocol fault).
-func (c *Cell) completeAtomic(tag, val int64, ok bool, exec int) {
+func (c *Cell) completeAtomic(tag, val int64, ok bool, exec sanClock) {
 	c.atomicMu.Lock()
 	fn := c.atomicWait[tag]
 	delete(c.atomicWait, tag)
@@ -142,7 +142,7 @@ func (c *Cell) FenceAtomics() {
 // routeAtomic sends a queued atomic request toward its owner — the
 // controller-side half of the issue path. With combining armed, a
 // combinable request joins an open fold instead.
-func (m *Machine) routeAtomic(c *Cell, cmd *msc.Command, exec int) {
+func (m *Machine) routeAtomic(c *Cell, cmd *msc.Command, exec sanClock) {
 	if m.cfg.Combining && cmd.AOp.Combinable() {
 		m.pool.workers[c.shard].join(c, cmd, exec)
 		return
@@ -153,10 +153,10 @@ func (m *Machine) routeAtomic(c *Cell, cmd *msc.Command, exec int) {
 // sendAtomic transmits one atomic request; when the retry budget runs
 // out it settles the request's waiter or fence so no CPU hangs on a
 // result that can never arrive.
-func (m *Machine) sendAtomic(c *Cell, cmd *msc.Command, exec int) {
+func (m *Machine) sendAtomic(c *Cell, cmd *msc.Command, exec sanClock) {
 	var pkt tnet.Packet
 	pkt.Head = *cmd
-	pkt.SanTid = exec
+	pkt.SanTid = exec.tid
 	if !m.xmit(c, &pkt) {
 		if cmd.Tag != 0 {
 			c.completeAtomic(cmd.Tag, 0, false, exec)
@@ -187,7 +187,7 @@ type foldKey struct {
 type fold struct {
 	key     foldKey
 	cmd     msc.Command
-	exec    int
+	exec    sanClock
 	members []foldMember
 }
 
@@ -203,7 +203,7 @@ type foldMember struct {
 // its partition's quiesce counter until emit has flushed it. A
 // non-fetching member's cell stays marked folded so process emits
 // before the cell's next command leaves.
-func (w *worker) join(c *Cell, cmd *msc.Command, exec int) {
+func (w *worker) join(c *Cell, cmd *msc.Command, exec sanClock) {
 	key := foldKey{cmd.Dst, cmd.RAddr, cmd.AOp, -1}
 	if cmd.Tag == 0 {
 		key.shard = w.shard
@@ -246,7 +246,7 @@ func (w *worker) emit() {
 		c := m.cells[f.cmd.Src]
 		if len(f.members) > 1 {
 			members, op := f.members, f.cmd.AOp
-			f.cmd.Tag = c.newAtomicWaiter(func(val int64, ok bool, exec int) {
+			f.cmd.Tag = c.newAtomicWaiter(func(val int64, ok bool, exec sanClock) {
 				m.decombine(members, op, val, ok, exec)
 			})
 		}
@@ -270,7 +270,7 @@ func (w *worker) emit() {
 // deltas joined before it (the Ultracomputer de-combining rule, exact
 // under wrapping addition); non-fetching members need only their
 // fence acks. A failed reply (ok false) settles every member.
-func (m *Machine) decombine(members []foldMember, op mc.AtomicOp, base int64, ok bool, exec int) {
+func (m *Machine) decombine(members []foldMember, op mc.AtomicOp, base int64, ok bool, exec sanClock) {
 	prefix := base
 	for _, mb := range members {
 		cell := m.cells[mb.cell]
@@ -347,5 +347,15 @@ func (c *Cell) replayAtomic(p *tnet.Packet) {
 		Op: msc.OpAtomicReply, Src: c.id, Dst: cmd.Src,
 		RAddr: cmd.RAddr, AOp: cmd.AOp, AVal: val, Tag: cmd.Tag,
 	}
-	m.xmit(c, &tnet.Packet{Head: reply, SanTid: p.SanTid})
+	pkt := tnet.Packet{Head: reply, SanTid: -1}
+	if s := m.san; s != nil {
+		// The original reply carries the request's token (cmd.San is
+		// that handle); the replay runs under a copy of it, never the
+		// requester's live clock. Once the original is consumed the
+		// replay settles its waiter, if any, without sanitizer hooks.
+		if pkt.Head.San = s.Copy(cmd.San); pkt.Head.San != 0 {
+			pkt.SanTid = p.SanTid
+		}
+	}
+	m.xmit(c, &pkt)
 }

@@ -70,13 +70,13 @@ type Cell struct {
 	// Tag 0 is reserved for non-fetching updates (no waiter).
 	atomicMu   sync.Mutex
 	atomicSeq  int64
-	atomicWait map[int64]func(val int64, ok bool, exec int)
+	atomicWait map[int64]func(val int64, ok bool, exec sanClock)
 	// atomicCh and atomicDone carry the result of the one fetching
 	// atomic the cell's program goroutine can have outstanding: built
 	// once, because a channel and a waiter per operation made every
 	// remote fetch-and-add allocate.
 	atomicCh   chan atomicResult
-	atomicDone func(val int64, ok bool, exec int)
+	atomicDone func(val int64, ok bool, exec sanClock)
 
 	// dsmHooks connects the cell's MSC+ to the DSM page-cache
 	// directory when write-through paging is enabled (nil otherwise,
@@ -134,7 +134,7 @@ func newCell(m *Machine, id topology.CellID) (*Cell, error) {
 
 		atomicCh: make(chan atomicResult, 1),
 	}
-	c.atomicDone = func(val int64, ok bool, _ int) { c.atomicCh <- atomicResult{val, ok} }
+	c.atomicDone = func(val int64, ok bool, _ sanClock) { c.atomicCh <- atomicResult{val, ok} }
 	// Lock-free MSC front whose doorbell schedules this cell on its
 	// delivery shard.
 	c.shard = int(id) % m.pool.shards()
@@ -273,7 +273,7 @@ func (c *Cell) HWBarrier() {
 	}
 	if s := c.machine.san; s != nil {
 		cpu := s.CPU(int(c.id))
-		tok := s.BarrierArrive(cpu)
+		tok := s.BarrierArrive(cpu, c.part.index, c.part.n)
 		c.machine.snet.Arrive(int(c.id))
 		s.BarrierDone(cpu, tok)
 	} else {
@@ -651,7 +651,7 @@ func (c *Cell) resetJob() {
 func (c *Cell) SanRead(addr mem.Addr, pat mem.Stride, op string) {
 	if s := c.machine.san; s != nil {
 		id := int(c.id)
-		s.Access(s.CPU(id), id, false, id, uint64(addr), pat.ItemSize, pat.Count, pat.Skip, op)
+		s.Access(s.CPU(id), 0, id, false, id, uint64(addr), pat.ItemSize, pat.Count, pat.Skip, op)
 	}
 }
 
@@ -660,7 +660,7 @@ func (c *Cell) SanRead(addr mem.Addr, pat mem.Stride, op string) {
 func (c *Cell) SanWrite(addr mem.Addr, pat mem.Stride, op string) {
 	if s := c.machine.san; s != nil {
 		id := int(c.id)
-		s.Access(s.CPU(id), id, true, id, uint64(addr), pat.ItemSize, pat.Count, pat.Skip, op)
+		s.Access(s.CPU(id), 0, id, true, id, uint64(addr), pat.ItemSize, pat.Count, pat.Skip, op)
 	}
 }
 

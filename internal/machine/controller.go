@@ -22,9 +22,9 @@ const drainBatch = 16
 // controller, "independent of processor execution" (S3.2) because it
 // runs on the cell's delivery worker, not its CPU goroutine. When the
 // machine is sanitized, the controller thread first acquires the
-// clock the issuer released into the command; everything downstream
-// of this call — including inline packet delivery on the destination
-// cell — executes as this controller's logical thread.
+// clock the issuer released into the command and runs under its live
+// clock; each packet it transmits carries that clock frozen into a
+// token of its own (xmit).
 func (m *Machine) process(c *Cell, cmd *msc.Command) {
 	if c.folded {
 		// One held request per cell: its fold leaves before the cell's
@@ -43,10 +43,11 @@ func (m *Machine) process(c *Cell, cmd *msc.Command) {
 			}()
 		}
 	}
-	exec := -1
+	exec := sanClock{tid: -1}
 	if s := m.san; s != nil {
-		exec = s.Ctl(int(c.id))
-		s.AcquireHandle(exec, cmd.San)
+		exec.tid = s.Ctl(int(c.id))
+		s.AcquireHandle(exec.tid, cmd.San)
+		cmd.San = 0 // consumed: a packet built from cmd gets its own token
 	}
 	switch cmd.Op {
 	case msc.OpPut, msc.OpSend, msc.OpRemoteStore, msc.OpGet, msc.OpRemoteLoad, msc.OpAtomic:
@@ -62,7 +63,7 @@ func (m *Machine) process(c *Cell, cmd *msc.Command) {
 		// Request messages carry no payload; route them out.
 		var pkt tnet.Packet
 		pkt.Head = *cmd
-		pkt.SanTid = exec
+		pkt.SanTid = exec.tid
 		m.xmit(c, &pkt)
 	case msc.OpAtomic:
 		m.routeAtomic(c, cmd, exec)
@@ -80,7 +81,7 @@ func (m *Machine) process(c *Cell, cmd *msc.Command) {
 // illegal addresses (S3.2), so the command interrupts the OS and is
 // dropped, and every waiter it would have woken is settled as for a
 // transfer the reliable layer abandons: the program lives on.
-func (m *Machine) dropUnreachable(c *Cell, cmd *msc.Command, exec int) {
+func (m *Machine) dropUnreachable(c *Cell, cmd *msc.Command, exec sanClock) {
 	c.OS.interrupt(IntrPageFault)
 	c.OS.fault(fmt.Errorf("machine: cell %d: %v to unreachable cell %d (invalid or in another partition): %w", c.id, cmd.Op, cmd.Dst, ErrBadAddress))
 	switch cmd.Op {
@@ -98,19 +99,32 @@ func (m *Machine) dropUnreachable(c *Cell, cmd *msc.Command, exec int) {
 	}
 }
 
+// sanClock names the sanitizer clock a controller action runs under:
+// logical thread tid (-1 when the machine is unsanitized) and, for a
+// packet's delivery, the token tok the packet carries — the sending
+// controller's clock frozen at transmit — in place of tid's live clock.
+// The receive DMA may run on the destination's worker long after the
+// sender moved on; the sender's live clock would cover everything it
+// acquired since. A token never advances, so a delivery makes its DMA
+// accesses before its releases; replies and acks forward it.
+type sanClock struct {
+	tid int
+	tok int64
+}
+
 // sanAccess stamps one DMA access with the executing controller's
-// clock. No-op when exec < 0 (unsanitized).
-func (m *Machine) sanAccess(exec int, write bool, memCell int, addr mem.Addr, pat mem.Stride, op string) {
-	if s := m.san; s != nil && exec >= 0 {
-		s.Access(exec, exec/2, write, memCell, uint64(addr), pat.ItemSize, pat.Count, pat.Skip, op)
+// clock. No-op when unsanitized.
+func (m *Machine) sanAccess(exec sanClock, write bool, memCell int, addr mem.Addr, pat mem.Stride, op string) {
+	if s := m.san; s != nil && exec.tid >= 0 {
+		s.Access(exec.tid, exec.tok, exec.tid/2, write, memCell, uint64(addr), pat.ItemSize, pat.Count, pat.Skip, op)
 	}
 }
 
 // sanFlagInc releases exec's clock into (cell, flag) ahead of the
 // actual increment.
-func (m *Machine) sanFlagInc(exec int, cell int, flag mc.FlagID) {
-	if s := m.san; s != nil && exec >= 0 {
-		s.FlagInc(exec, cell, int32(flag))
+func (m *Machine) sanFlagInc(exec sanClock, cell int, flag mc.FlagID) {
+	if s := m.san; s != nil && exec.tid >= 0 {
+		s.FlagInc(exec.tid, exec.tok, cell, int32(flag))
 	}
 }
 
@@ -132,7 +146,7 @@ func sendReadLabel(op msc.Op) string {
 // sendData runs the send DMA for a data-bearing command: translate
 // the local address, capture the payload, raise the send flag, and
 // inject the packet.
-func (m *Machine) sendData(c *Cell, cmd *msc.Command, exec int) {
+func (m *Machine) sendData(c *Cell, cmd *msc.Command, exec sanClock) {
 	var payload *mem.Payload
 	if cmd.LAddr != 0 && cmd.LStride.Total() > 0 {
 		if _, err := c.MMU.Translate(cmd.LAddr, cmd.LStride.Extent()); err != nil {
@@ -153,7 +167,7 @@ func (m *Machine) sendData(c *Cell, cmd *msc.Command, exec int) {
 		if s := m.san; s != nil && cmd.Op == msc.OpSend {
 			// SEND payloads park in the destination's ring buffer and
 			// hop to its CPU asynchronously; carry the clock along.
-			payload.SetSan(s.Release(exec))
+			payload.SetSan(s.Release(exec.tid))
 		}
 	}
 	// Send DMA complete: the MSC+ asks the MC to increment the send
@@ -165,7 +179,7 @@ func (m *Machine) sendData(c *Cell, cmd *msc.Command, exec int) {
 	var pkt tnet.Packet
 	pkt.Head = *cmd
 	pkt.Payload = payload
-	pkt.SanTid = exec
+	pkt.SanTid = exec.tid
 	// PUT and remote store payloads are copied out during delivery, so
 	// the wire recycles their buffers once the handler returns,
 	// wherever that happens; SEND payloads park in the destination's
@@ -179,7 +193,7 @@ func (m *Machine) sendData(c *Cell, cmd *msc.Command, exec int) {
 // local memory and send it back to the requester. The data-sending
 // side's flag (cmd.SendFlag, a flag on THIS cell chosen by the
 // requester) rises when the reply DMA completes.
-func (m *Machine) reply(c *Cell, cmd *msc.Command, exec int) {
+func (m *Machine) reply(c *Cell, cmd *msc.Command, exec sanClock) {
 	var payload *mem.Payload
 	if cmd.RAddr != 0 {
 		if _, err := c.MMU.Translate(cmd.RAddr, cmd.RStride.Extent()); err != nil {
@@ -202,7 +216,7 @@ func (m *Machine) reply(c *Cell, cmd *msc.Command, exec int) {
 	pkt.Head.Src = c.id
 	pkt.Head.Dst = cmd.Src // back to the requester
 	pkt.Payload = payload
-	pkt.SanTid = exec
+	pkt.SanTid = exec.tid
 	// The reply is copied into the requester's memory during delivery;
 	// the wire recycles the buffer afterwards (unless a fault plan may
 	// still be holding a copy in limbo).
@@ -211,7 +225,7 @@ func (m *Machine) reply(c *Cell, cmd *msc.Command, exec int) {
 }
 
 // loadReply serves a queued remote load.
-func (m *Machine) loadReply(c *Cell, cmd *msc.Command, exec int) {
+func (m *Machine) loadReply(c *Cell, cmd *msc.Command, exec sanClock) {
 	var payload *mem.Payload
 	if _, err := c.MMU.Translate(cmd.RAddr, cmd.RStride.Extent()); err != nil {
 		c.OS.interrupt(IntrPageFault)
@@ -235,7 +249,7 @@ func (m *Machine) loadReply(c *Cell, cmd *msc.Command, exec int) {
 			if s := m.san; s != nil {
 				// The reply payload crosses to the loading CPU through a
 				// channel; carry the clock with it.
-				payload.SetSan(s.Release(exec))
+				payload.SetSan(s.Release(exec.tid))
 			}
 		}
 	}
@@ -244,20 +258,22 @@ func (m *Machine) loadReply(c *Cell, cmd *msc.Command, exec int) {
 	pkt.Head.Src = c.id
 	pkt.Head.Dst = cmd.Src
 	pkt.Payload = payload
-	pkt.SanTid = exec
+	pkt.SanTid = exec.tid
 	m.xmit(c, &pkt)
 }
 
 // receive is the cell's T-net receive controller (the MSC+ of the
 // receiving cell): it "analyzes the header of the message and
 // activates the receive DMA to write the data directly" (S4.1).
-// It runs on the sending cell's worker, or on this cell's own worker
-// for a packet that crossed a link; all state it touches is
-// monitor-protected or owned by flag discipline, like real DMA.
-// Sanitizer-wise the packet's SanTid carries that controller's
-// logical thread through the delivery. It reports whether the packet
-// was accepted; under a fault plan, false makes an inline sender
-// retransmit (a sender behind a link has the injector's fate instead).
+// It runs on this cell's own worker: a same-shard sender is that
+// worker, a cross-shard packet crossed a link to it (only the
+// Inline DSM notices run elsewhere, and they touch no queue and no
+// sanitizer clock). Sanitizer-wise the delivery runs as the sending
+// controller's thread (SanTid) under the clock its token froze at
+// transmit (Head.San); the token is dropped here unless a reply or
+// ack took it along. It reports whether the packet was accepted;
+// under a fault plan, false makes an inline sender retransmit (a
+// sender behind a link has the injector's fate instead).
 func (c *Cell) receive(p tnet.Packet) bool {
 	m := c.machine
 	if r := m.rel; r != nil {
@@ -278,8 +294,19 @@ func (c *Cell) receive(p tnet.Packet) bool {
 			return true
 		}
 	}
+	ok := c.apply(&p)
+	if s := m.san; s != nil {
+		s.Drop(p.Head.San)
+	}
+	return ok
+}
+
+// apply executes an admitted packet. A case that forwards the packet's
+// sanitizer token into a reply or ack clears p.Head.San.
+func (c *Cell) apply(p *tnet.Packet) bool {
+	m := c.machine
 	cmd := &p.Head
-	exec := p.SanTid
+	exec := sanClock{p.SanTid, cmd.San}
 	switch cmd.Op {
 	case msc.OpPut:
 		if !c.deliver(cmd, p.Payload, exec, "PUT receive DMA write") {
@@ -303,15 +330,12 @@ func (c *Cell) receive(p tnet.Packet) bool {
 	case msc.OpGet:
 		// The MSC+ "analyzes the GET request message and enters it
 		// into the reply queue" — no processor involvement. The queued
-		// entry is the reply to produce.
+		// entry is the reply to produce; it carries the token on to
+		// this cell's controller, which acquires it when it pops.
 		req := *cmd
 		req.Op = msc.OpGetReply
-		if s := m.san; s != nil {
-			// The reply runs later on THIS cell's controller; hand the
-			// requesting chain's clock across the queue boundary.
-			req.San = s.ReleaseHandle(exec)
-		}
 		c.push(qGetReply, req)
+		cmd.San = 0
 		return true
 
 	case msc.OpGetReply:
@@ -335,8 +359,9 @@ func (c *Cell) receive(p tnet.Packet) bool {
 			h.Stored(cmd.Src, cmd.RAddr, cmd.RStride.Total())
 		}
 		// Acknowledge automatically (S4.2).
-		ack := msc.Command{Op: msc.OpRemoteStoreAck, Src: c.id, Dst: cmd.Src}
-		m.xmit(c, &tnet.Packet{Head: ack, SanTid: exec})
+		ack := msc.Command{Op: msc.OpRemoteStoreAck, Src: c.id, Dst: cmd.Src, San: cmd.San}
+		cmd.San = 0
+		m.xmit(c, &tnet.Packet{Head: ack, SanTid: exec.tid})
 		return true
 
 	case msc.OpRemoteStoreAck:
@@ -347,10 +372,8 @@ func (c *Cell) receive(p tnet.Packet) bool {
 	case msc.OpRemoteLoad:
 		req := *cmd
 		req.Op = msc.OpRemoteLoadReply
-		if s := m.san; s != nil {
-			req.San = s.ReleaseHandle(exec)
-		}
 		c.push(qRloadReply, req)
+		cmd.San = 0
 		return true
 
 	case msc.OpRemoteLoadReply:
@@ -394,12 +417,13 @@ func (c *Cell) receive(p tnet.Packet) bool {
 		}
 		reply := msc.Command{
 			Op: msc.OpAtomicReply, Src: c.id, Dst: cmd.Src,
-			RAddr: cmd.RAddr, AOp: cmd.AOp, AVal: old, Tag: cmd.Tag,
+			RAddr: cmd.RAddr, AOp: cmd.AOp, AVal: old, Tag: cmd.Tag, San: cmd.San,
 		}
+		cmd.San = 0
 		if faulted {
 			reply.ACmp = 1
 		}
-		m.xmit(c, &tnet.Packet{Head: reply, SanTid: exec})
+		m.xmit(c, &tnet.Packet{Head: reply, SanTid: exec.tid})
 		return true
 
 	case msc.OpAtomicReply:
@@ -426,7 +450,7 @@ func (c *Cell) receive(p tnet.Packet) bool {
 // window land in the MC's register file with p-bit semantics (S4.4:
 // the registers live in shared memory space, so remote stores reach
 // them). It reports whether the DMA completed.
-func (c *Cell) deliver(cmd *msc.Command, payload *mem.Payload, exec int, op string) bool {
+func (c *Cell) deliver(cmd *msc.Command, payload *mem.Payload, exec sanClock, op string) bool {
 	// Choose the destination side: PUT writes at RAddr on this cell;
 	// GET replies write at LAddr on this (requesting) cell.
 	addr := cmd.RAddr

@@ -31,7 +31,7 @@ func CregAddr(idx int) mem.Addr {
 // registers as pure synchronization: the executing thread's clock is
 // released into the register's p-bit channel ahead of the store, and
 // a LoadCreg acquires it — the store/load handshake of S4.4.
-func (c *Cell) deliverCreg(addr mem.Addr, payload *mem.Payload, exec int) bool {
+func (c *Cell) deliverCreg(addr mem.Addr, payload *mem.Payload, exec sanClock) bool {
 	off := addr - CregSpaceBase
 	if off%4 != 0 || off/4 >= mc.NumCommRegs {
 		c.OS.fault(fmt.Errorf("machine: cell %d: bad communication register address %#x", c.id, addr))
@@ -39,8 +39,8 @@ func (c *Cell) deliverCreg(addr mem.Addr, payload *mem.Payload, exec int) bool {
 	}
 	idx := int(off / 4)
 	sanStore := func(width int) {
-		if s := c.machine.san; s != nil && exec >= 0 {
-			s.CregStore(exec, int(c.id), idx, width)
+		if s := c.machine.san; s != nil && exec.tid >= 0 {
+			s.CregStore(exec.tid, exec.tok, int(c.id), idx, width)
 		}
 	}
 	size := payload.Size()

@@ -110,6 +110,6 @@ func (c *Cell) SendDSMEvict(dst topology.CellID, page mem.Addr, epoch int32) {
 func (c *Cell) SanReadAt(memCell int, addr mem.Addr, pat mem.Stride, op string) {
 	if s := c.machine.san; s != nil {
 		id := int(c.id)
-		s.Access(s.CPU(id), id, false, memCell, uint64(addr), pat.ItemSize, pat.Count, pat.Skip, op)
+		s.Access(s.CPU(id), 0, id, false, memCell, uint64(addr), pat.ItemSize, pat.Count, pat.Skip, op)
 	}
 }

@@ -299,8 +299,8 @@ func TestPartitionConfigValidation(t *testing.T) {
 	if _, err := New(Config{Width: 2, Height: 2, MemoryPerCell: 1 << 20, Partitions: -1}); err == nil {
 		t.Error("negative partition count must fail")
 	}
-	if _, err := New(Config{Width: 2, Height: 2, MemoryPerCell: 1 << 20, Partitions: 2, Sanitize: true}); err == nil {
-		t.Error("sanitize with multiple partitions must fail")
+	if _, err := New(Config{Width: 2, Height: 2, MemoryPerCell: 1 << 20, Partitions: 2, Sanitize: true}); err != nil {
+		t.Errorf("sanitize with multiple partitions: %v", err)
 	}
 	if _, err := New(Config{Width: 4, Height: 4, MemoryPerCell: 1 << 20, Partitions: 2, Combining: true}); err != nil {
 		t.Errorf("combining with multiple partitions: %v", err)

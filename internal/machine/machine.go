@@ -139,9 +139,6 @@ func (c *Config) fill() error {
 	if c.Partitions == 0 {
 		c.Partitions = 1
 	}
-	if c.Partitions > 1 && c.Sanitize {
-		return fmt.Errorf("machine: Sanitize requires a single partition (apsan models the all-cells barrier)")
-	}
 	return nil
 }
 
@@ -233,12 +230,7 @@ func New(cfg Config) (*Machine, error) {
 		m.tnet.Attach(c.id, c.receive)
 		m.bnet.Attach(c.id, c.receiveBroadcast)
 	}
-	if !cfg.Sanitize {
-		// The one fork: cross-shard packets ride links unless the
-		// sanitizer runs, whose logical clocks assume one cell's packets
-		// deliver serially.
-		m.tnet.SetRingWire(m.pool.shards(), ringLinkCap, m.pool.wake, false, m.trackWire)
-	}
+	m.tnet.SetRingWire(m.pool.shards(), ringLinkCap, m.pool.wake, false, m.trackWire)
 	return m, nil
 }
 

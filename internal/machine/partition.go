@@ -237,6 +237,9 @@ func (m *Machine) RunJob(part int, program func(c *Cell) error) error {
 	// is left in the wire's reorder limbo: it never outlives the xmit
 	// that filled it.
 	p.q.wait()
+	if s := m.san; s != nil {
+		s.Quiesce(p.base, p.n)
+	}
 	if m.rel != nil {
 		// Quiescent: collapse the dedup holes left by abandoned
 		// (retry-budget-exhausted) packets on the partition's links so

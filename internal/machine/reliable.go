@@ -228,6 +228,10 @@ func b2u64(b bool) uint64 {
 // delivery worker, which flushes its shard's outboxes before it
 // uncounts the work that transmitted it.
 func (m *Machine) xmit(c *Cell, p *tnet.Packet) bool {
+	if s := m.san; s != nil && p.SanTid >= 0 && p.Head.San == 0 {
+		// The packet carries its sender's clock as of now (sanClock).
+		p.Head.San = s.ReleaseHandle(p.SanTid)
+	}
 	r := m.rel
 	if r == nil {
 		return m.tnet.Transmit(p)
@@ -281,6 +285,9 @@ func (m *Machine) xmit(c *Cell, p *tnet.Packet) bool {
 	}
 	cf := &CellFault{Cell: c.id, Dst: p.Head.Dst, Op: p.Head.Op, Seq: p.Head.Seq, Attempts: max}
 	m.tnet.DropHeld(*p)
+	if s := m.san; s != nil {
+		s.Drop(p.Head.San) // no copy was accepted, so none consumed it
+	}
 	r.abandon(p.Head.Src, p.Head.Dst, p.Head.Seq)
 	r.record(cf)
 	c.OS.interrupt(IntrCellFault)
@@ -395,14 +402,20 @@ func (m *Machine) FaultStats() fault.Stats {
 	return m.rel.inj.Stats()
 }
 
-// DrainInvariantErr checks the post-Run reliable-delivery invariant:
-// every per-link dedup window has collapsed into its contiguous
-// watermark (seen empty), no abandoned holes remain, and the atomic
-// result-replay cache respects its bound. Nil when the invariant
-// holds — including trivially, on a machine without a fault plan.
-// Layers built on the MSC+ (the PGAS aggregator in particular) call
-// this from their quiesce tests.
+// DrainInvariantErr checks the post-Run drain invariant: every
+// sanitizer token was consumed exactly once (none left parked, no hook
+// run under a consumed one), every per-link dedup window has collapsed
+// into its contiguous watermark (seen empty), no abandoned holes
+// remain, and the atomic result-replay cache respects its bound. Nil when the invariant holds — including trivially, on an
+// unsanitized machine without a fault plan. Layers built on the MSC+
+// (the PGAS aggregator in particular) call this from their quiesce
+// tests.
 func (m *Machine) DrainInvariantErr() error {
+	if s := m.san; s != nil {
+		if err := s.TokenErr(); err != nil {
+			return err
+		}
+	}
 	if m.rel == nil {
 		return nil
 	}

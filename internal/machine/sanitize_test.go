@@ -1,7 +1,9 @@
 package machine_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"ap1000plus/internal/machine"
@@ -244,5 +246,230 @@ func TestSanitizerRemoteStoreFence(t *testing.T) {
 	}
 	if err := m.SanitizeErr(); err != nil {
 		t.Fatalf("fenced remote stores flagged: %v", err)
+	}
+}
+
+// sendTimeClockProgram: cell 0 PUTs to cell 1 with receive flag f,
+// then its CPU writes its own L and issues an unrelated PUT to cell 2;
+// cell 1 waits on f and PUTs into cell 0's L. The write of L comes
+// after the first PUT was issued, so f does not order it against cell
+// 1's PUT. A receive controller stamping the first PUT's delivery with
+// the sender's live clock — which by then may have acquired the CPU's
+// release for the second PUT — would hide the race.
+func sendTimeClockProgram(c *machine.Cell) error {
+	f := c.Flags.Alloc()
+	l, _, err := c.AllocFloat64("L", 8)
+	if err != nil {
+		return err
+	}
+	buf, _, err := c.AllocFloat64("buf", 8)
+	if err != nil {
+		return err
+	}
+	c.HWBarrier()
+	pat := mem.Contiguous(64)
+	put := func(dst topology.CellID, raddr, laddr mem.Addr, flag mc.FlagID) {
+		c.PushUser(msc.Command{Op: msc.OpPut, Dst: dst, RAddr: raddr, LAddr: laddr, RStride: pat, LStride: pat, RecvFlag: flag})
+	}
+	switch c.ID() {
+	case 0:
+		put(1, buf.Base(), buf.Base(), f)
+		c.SanWrite(l.Base(), pat, "CPU write of L")
+		put(2, buf.Base(), buf.Base(), mc.NoFlag)
+	case 1:
+		c.Flags.Wait(f, 1)
+		put(0, l.Base(), buf.Base(), mc.NoFlag)
+	}
+	return nil
+}
+
+// TestSanitizerUsesSendTimeClock pins that a delivery runs under the
+// clock its sender had at transmit, not the sender's live clock: on
+// two delivery workers cell 1's packets cross a link, so the first
+// PUT may be delivered after cell 0's controller acquired the second
+// PUT's clock. Every run must report the race on L.
+func TestSanitizerUsesSendTimeClock(t *testing.T) {
+	for run := 0; run < 40; run++ {
+		m, err := machine.New(machine.Config{Width: 2, Height: 2, Sanitize: true, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(sendTimeClockProgram); err != nil {
+			t.Fatal(err)
+		}
+		err = m.SanitizeErr()
+		if err == nil {
+			t.Fatalf("run %d: the CPU write of L racing cell 1's PUT into L was not reported", run)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "CPU write of L") || !strings.Contains(msg, "PUT receive DMA write") {
+			t.Fatalf("run %d: report does not name both sites: %v", run, msg)
+		}
+		if err := m.DrainInvariantErr(); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+}
+
+// partitionJob is the program partition p runs in
+// TestSanitizerPerPartition: the seeded race of racyProgram on the
+// partition's first two cells when racy, else three rounds of a ring
+// of flagged PUTs whose CPU-side source writes and destination reads
+// are ordered by the receive flag and the partition's barrier.
+func partitionJob(p *machine.Partition, racy bool) func(c *machine.Cell) error {
+	members := p.Group().Members()
+	return func(c *machine.Cell) error {
+		f := c.Flags.Alloc()
+		src, _, err := c.AllocFloat64("src", 8)
+		if err != nil {
+			return err
+		}
+		dst, _, err := c.AllocFloat64("dst", 8)
+		if err != nil {
+			return err
+		}
+		c.HWBarrier()
+		pat := mem.Contiguous(64)
+		rank, _ := p.Group().Rank(c.ID())
+		next := members[(rank+1)%len(members)]
+		if racy {
+			switch rank {
+			case 0:
+				c.PushUser(msc.Command{Op: msc.OpPut, Dst: next, RAddr: src.Base(), LAddr: src.Base(), RStride: pat, LStride: pat})
+			case 1:
+				c.PushUser(msc.Command{Op: msc.OpPut, Dst: next, RAddr: dst.Base(), LAddr: src.Base(), RStride: pat, LStride: pat})
+			}
+			return nil
+		}
+		for r := 0; r < 3; r++ {
+			c.SanWrite(src.Base(), pat, "source fill")
+			c.PushUser(msc.Command{Op: msc.OpPut, Dst: next, RAddr: dst.Base(), LAddr: src.Base(), RStride: pat, LStride: pat, RecvFlag: f})
+			c.Flags.Wait(f, int64(r+1))
+			c.SanRead(dst.Base(), pat, "destination read")
+			c.HWBarrier()
+		}
+		return nil
+	}
+}
+
+// runPartitioned runs one job per partition concurrently on a
+// sanitized 4x2 machine; partition 0's job is the seeded race when
+// racy.
+func runPartitioned(t *testing.T, parts int, racy bool) *machine.Machine {
+	t.Helper()
+	m, err := machine.New(machine.Config{Width: 4, Height: 2, MemoryPerCell: 1 << 20, Sanitize: true, Partitions: parts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Open(); err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, parts)
+	var wg sync.WaitGroup
+	for i := 0; i < parts; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = m.RunJob(i, partitionJob(m.Partition(i), racy && i == 0))
+		}(i)
+	}
+	wg.Wait()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("partition %d: %v", i, err)
+		}
+	}
+	if err := m.DrainInvariantErr(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestSanitizerPerPartition runs the sanitizer on a partitioned
+// machine with concurrent jobs: a seeded race in partition 0 is
+// reported on partition 0's cells alone, and an all-clean run reports
+// nothing — each partition's S-net barrier is its own episode, so
+// clean tenants neither mix clocks with nor inherit reports from
+// another.
+func TestSanitizerPerPartition(t *testing.T) {
+	for _, parts := range []int{2, 4} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			if !raceDetectorEnabled { // the seeded race is a real one
+				m := runPartitioned(t, parts, true)
+				if m.SanitizeErr() == nil {
+					t.Fatal("seeded race in partition 0 not reported")
+				}
+				for _, r := range m.Sanitizer().Reports() {
+					for _, cell := range []int{r.Prior.Cell, r.Prior.MemCell, r.Access.Cell, r.Access.MemCell} {
+						if p := m.PartitionOf(topology.CellID(cell)); p != 0 {
+							t.Errorf("report names cell %d of partition %d: %v", cell, p, r)
+						}
+					}
+				}
+				var intrs int64
+				for id := 0; id < m.Cells(); id++ {
+					n := m.Cell(topology.CellID(id)).OS.Interrupts(machine.IntrSanitizer)
+					if n != 0 && m.PartitionOf(topology.CellID(id)) != 0 {
+						t.Errorf("cell %d outside partition 0 took %d sanitizer interrupts", id, n)
+					}
+					intrs += n
+				}
+				if intrs == 0 {
+					t.Error("no sanitizer interrupt was raised")
+				}
+			}
+			if err := runPartitioned(t, parts, false).SanitizeErr(); err != nil {
+				t.Fatalf("flag- and barrier-disciplined partitions flagged: %v", err)
+			}
+		})
+	}
+}
+
+// TestSanitizerJobsOnOnePartition runs two jobs back to back on one
+// partition of an open machine: the first PUTs into a buffer nobody
+// waits for, the second rewrites that buffer on its owner's CPU. The
+// partition's drain between the jobs orders them, so the second job's
+// write is no race.
+func TestSanitizerJobsOnOnePartition(t *testing.T) {
+	m, err := machine.New(machine.Config{Width: 2, Height: 2, MemoryPerCell: 1 << 20, Sanitize: true, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := make([]mem.Addr, m.Cells())
+	for id := range bufs {
+		seg, _, err := m.Cell(topology.CellID(id)).AllocFloat64("buf", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs[id] = seg.Base()
+	}
+	pat := mem.Contiguous(64)
+	members := m.Partition(1).Group().Members()
+	if err := m.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunJob(1, func(c *machine.Cell) error {
+		if c.ID() == members[0] {
+			c.PushUser(msc.Command{Op: msc.OpPut, Dst: members[1], RAddr: bufs[members[1]], LAddr: bufs[c.ID()], RStride: pat, LStride: pat})
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunJob(1, func(c *machine.Cell) error {
+		if c.ID() == members[1] {
+			c.SanWrite(bufs[c.ID()], pat, "next job's rewrite")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SanitizeErr(); err != nil {
+		t.Fatalf("a drained job raced the next job on its partition: %v", err)
 	}
 }

@@ -8,7 +8,6 @@ package msc
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"ap1000plus/internal/mc"
@@ -172,133 +171,15 @@ type QueueStats struct {
 	Pops       int64
 	Spills     int64 // commands that overflowed to the DRAM buffer
 	Refills    int64 // commands moved back from DRAM into the queue
-	Interrupts int64 // OS interrupts taken for refill management
+	Interrupts int64 // OS refill interrupts, one per spill-service episode
 	MaxDepth   int   // high-water mark of the hardware queue
 }
 
-// Queue is one MSC+ command queue: a fixed-capacity hardware FIFO
-// that spills to a DRAM buffer when full. "All data written by the
-// processor after the queue becomes full is written into the buffer
-// in DRAM. When the queue empties, the MSC+ interrupts the operating
-// system, which then loads data from the buffer in DRAM back into the
-// queue" (S4.1). Queue is not safe for concurrent use on its own; the
-// MSC guards its two reply queues with one lock.
-type Queue struct {
-	name     string
-	capacity int // commands (QueueWords / CommandWords)
-	// hw is the fixed hardware FIFO, a ring of capacity entries
-	// (allocated on first use, never grown — this is the steady-state
-	// hot path and must not allocate per command).
-	hw     []Command
-	hwHead int
-	hwLen  int
-	// spill is the DRAM overflow buffer: appended at the tail,
-	// consumed from spillHead, storage reused once drained.
-	spill     []Command
-	spillHead int
-	stats     QueueStats
-	// onSpill/onRefill, when set, observe DRAM spills and OS refill
-	// interrupts (observability layer). Called with the owner's lock
-	// held; they must not call back into the queue. Each receives the
-	// command count of the triggering push or refill.
-	onSpill  func(queue string, n int)
-	onRefill func(queue string, n int)
-}
-
-// NewQueue builds a queue holding capacityWords of commands.
-func NewQueue(name string, capacityWords int) *Queue {
-	if capacityWords < CommandWords {
-		panic(fmt.Sprintf("msc: queue %q capacity %d below one command", name, capacityWords))
-	}
-	return &Queue{name: name, capacity: capacityWords / CommandWords}
-}
-
-// spillLen reports pending commands in the DRAM buffer.
-func (q *Queue) spillLen() int { return len(q.spill) - q.spillHead }
-
-// hwPush appends to the hardware ring; the caller checked capacity.
-func (q *Queue) hwPush(c Command) {
-	if q.hw == nil {
-		q.hw = make([]Command, q.capacity)
-	}
-	q.hw[(q.hwHead+q.hwLen)%q.capacity] = c
-	q.hwLen++
-	if q.hwLen > q.stats.MaxDepth {
-		q.stats.MaxDepth = q.hwLen
-	}
-}
-
-// Push appends a command. It never rejects: overflow goes to the DRAM
-// spill buffer exactly like the hardware.
-func (q *Queue) Push(c Command) {
-	q.stats.Pushes++
-	if q.spillLen() > 0 || q.hwLen >= q.capacity {
-		q.spill = append(q.spill, c)
-		q.stats.Spills++
-		if q.onSpill != nil {
-			q.onSpill(q.name, 1)
-		}
-		return
-	}
-	q.hwPush(c)
-}
-
-// Pop removes the oldest command. When the hardware queue drains and
-// spilled commands exist, the MSC+ interrupts the OS, which refills
-// the queue from DRAM.
-func (q *Queue) Pop() (Command, bool) {
-	if q.hwLen == 0 {
-		if q.spillLen() == 0 {
-			return Command{}, false
-		}
-		q.refill()
-	}
-	c := q.hw[q.hwHead]
-	q.hwHead = (q.hwHead + 1) % q.capacity
-	q.hwLen--
-	q.stats.Pops++
-	if q.hwLen == 0 && q.spillLen() > 0 {
-		q.refill()
-	}
-	return c, true
-}
-
-func (q *Queue) refill() {
-	q.stats.Interrupts++
-	n := q.capacity - q.hwLen
-	if l := q.spillLen(); n > l {
-		n = l
-	}
-	for i := 0; i < n; i++ {
-		q.hwPush(q.spill[q.spillHead+i])
-	}
-	q.spillHead += n
-	if q.spillHead == len(q.spill) {
-		// Fully drained: reuse the buffer's storage from the start.
-		q.spill = q.spill[:0]
-		q.spillHead = 0
-	}
-	q.stats.Refills += int64(n)
-	if q.onRefill != nil {
-		q.onRefill(q.name, n)
-	}
-}
-
-// Len reports queued commands (hardware + spill).
-func (q *Queue) Len() int { return q.hwLen + q.spillLen() }
-
-// Stats returns a snapshot of activity counters.
-func (q *Queue) Stats() QueueStats { return q.stats }
-
-// Name reports the queue's label.
-func (q *Queue) Name() string { return q.name }
-
 // CheckQueueWords reports whether words can size the MSC+ queues: a
-// power-of-two count of at least two commands. The send queues'
-// hardware FIFO is a ring whose slot count is a power of two, at least
-// two (ring.New), while a reply Queue holds exactly words/CommandWords
-// commands; any other size would silently give the send side a deeper
-// FIFO than the reply side.
+// power-of-two count of at least two commands. Each queue's hardware
+// FIFO is a ring whose slot count is a power of two, at least two
+// (ring.New); any other size would silently run a deeper FIFO than
+// the one configured.
 func CheckQueueWords(words int) error {
 	n := words / CommandWords
 	switch {
@@ -310,27 +191,23 @@ func CheckQueueWords(words int) error {
 	return nil
 }
 
-// MSC is one cell's message controller front end: the five queues.
-// The CPU pushes commands; the consumer — the delivery worker that
-// owns the cell — pops them in the hardware's priority order with
-// TryNext/TryNextBatch.
+// MSC is one cell's message controller front end: the five queues,
+// each an SPSC ring with DRAM spill. The CPU pushes commands, the
+// receive controller pushes replies; the consumer — the delivery
+// worker that owns the cell — pops them in the hardware's priority
+// order with TryNext/TryNextBatch.
 type MSC struct {
 	// Send side: "three sending queues for PUT and GET requests
 	// issued by the user, PUT and GET requests from the system, and
-	// remote access" (S4.1). Each is an SPSC ring with DRAM spill: its
-	// single producer is the cell's CPU program goroutine (the SPMD
-	// discipline: one program goroutine per cell issues all user,
-	// system and remote-access commands).
+	// remote access" (S4.1). Their single producer is the cell's CPU
+	// program goroutine (the SPMD discipline: one program goroutine
+	// per cell issues all user, system and remote-access commands).
 	userSend, sysSend, remoteAcc *ringQueue
 	// Reply side: "two reply queues, one for GET replies, and one for
 	// remote load replies. Remote load replies precede GET replies."
-	// Replies are pushed from delivery context, which under inline
-	// transport can be any worker, so these queues share one lock;
-	// replyPending lets the consumer skip it when no reply waits.
-	replyMu      sync.Mutex
-	getReply     *Queue
-	rloadReply   *Queue
-	replyPending atomic.Int64
+	// Their single producer is the cell's receive controller, which
+	// runs on the same delivery worker that pops them.
+	getReply, rloadReply *ringQueue
 
 	// notify is the doorbell to the delivery worker that owns this
 	// cell; rung after every push.
@@ -357,8 +234,8 @@ func NewRing(words int, notify func()) *MSC {
 		userSend:   newRingQueue("user-send", words),
 		sysSend:    newRingQueue("sys-send", words),
 		remoteAcc:  newRingQueue("remote-access", words),
-		getReply:   NewQueue("get-reply", words),
-		rloadReply: NewQueue("rload-reply", words),
+		getReply:   newRingQueue("get-reply", words),
+		rloadReply: newRingQueue("rload-reply", words),
 		notify:     notify,
 	}
 }
@@ -369,9 +246,9 @@ func (m *MSC) checkOpen() {
 	}
 }
 
-// pushSend enqueues on a send queue; the caller is the cell's single
-// program goroutine.
-func (m *MSC) pushSend(q *ringQueue, c *Command) {
+// push enqueues on one queue; the caller is that queue's single
+// producer.
+func (m *MSC) push(q *ringQueue, c *Command) {
 	m.checkOpen()
 	q.push(c)
 	m.notify()
@@ -382,34 +259,27 @@ func (m *MSC) pushSend(q *ringQueue, c *Command) {
 // special address" with plain stores — no system call. The caller must
 // be the cell's single program goroutine (the SPMD discipline); the
 // queue is an SPSC ring.
-func (m *MSC) PushUser(c Command) { m.pushSend(m.userSend, &c) }
+func (m *MSC) PushUser(c Command) { m.push(m.userSend, &c) }
 
 // PushSystem enqueues a system-issued PUT/GET. A separate queue means
 // "the MSC+ does not need to save and restore the entries for the
 // user" when the OS communicates.
-func (m *MSC) PushSystem(c Command) { m.pushSend(m.sysSend, &c) }
+func (m *MSC) PushSystem(c Command) { m.push(m.sysSend, &c) }
 
 // PushRemoteAccess enqueues a hardware remote load/store. "Remote
 // access uses another queue because the processor waits for a remote
 // load, so remote access must be privileged."
-func (m *MSC) PushRemoteAccess(c Command) { m.pushSend(m.remoteAcc, &c) }
+func (m *MSC) PushRemoteAccess(c Command) { m.push(m.remoteAcc, &c) }
 
 // PushGetReply enqueues a reply to a GET request received from the
-// network. Any goroutine may push a reply.
-func (m *MSC) PushGetReply(c Command) { m.pushReply(m.getReply, c) }
+// network. The caller must be the cell's receive controller — the
+// queue's single producer, which on the machine is the delivery
+// worker that owns the cell.
+func (m *MSC) PushGetReply(c Command) { m.push(m.getReply, &c) }
 
-// PushRemoteLoadReply enqueues a reply to a remote load.
-func (m *MSC) PushRemoteLoadReply(c Command) { m.pushReply(m.rloadReply, c) }
-
-// pushReply serializes delivery-context pushes onto a reply queue.
-func (m *MSC) pushReply(q *Queue, c Command) {
-	m.checkOpen()
-	m.replyMu.Lock()
-	q.Push(c)
-	m.replyMu.Unlock()
-	m.replyPending.Add(1)
-	m.notify()
-}
+// PushRemoteLoadReply enqueues a reply to a remote load; the caller is
+// the single producer, as for PushGetReply.
+func (m *MSC) PushRemoteLoadReply(c Command) { m.push(m.rloadReply, &c) }
 
 // PushUserBatch enqueues a run of user commands with one doorbell —
 // the descriptor-ring NIC pattern: the CPU builds the whole command
@@ -437,24 +307,7 @@ func (m *MSC) PushUserBatch(cmds []Command) {
 // goroutine may call it (or TryNext) at a time.
 func (m *MSC) TryNextBatch(buf []Command) int {
 	n := 0
-	if m.replyPending.Load() > 0 {
-		m.replyMu.Lock()
-		for _, q := range []*Queue{m.rloadReply, m.getReply} {
-			for n < len(buf) {
-				c, ok := q.Pop()
-				if !ok {
-					break
-				}
-				buf[n] = c
-				n++
-			}
-		}
-		m.replyMu.Unlock()
-		if n > 0 {
-			m.replyPending.Add(int64(-n))
-		}
-	}
-	for _, q := range []*ringQueue{m.remoteAcc, m.sysSend, m.userSend} {
+	for _, q := range []*ringQueue{m.rloadReply, m.getReply, m.remoteAcc, m.sysSend, m.userSend} {
 		for n < len(buf) && q.pop(&buf[n]) {
 			n++
 		}
@@ -473,10 +326,7 @@ func (m *MSC) TryNext() (Command, bool) {
 
 // Pending reports the total commands across all queues.
 func (m *MSC) Pending() int {
-	m.replyMu.Lock()
-	replies := m.getReply.Len() + m.rloadReply.Len()
-	m.replyMu.Unlock()
-	return replies + m.userSend.cmds.Len() + m.sysSend.cmds.Len() + m.remoteAcc.cmds.Len()
+	return m.rloadReply.cmds.Len() + m.getReply.cmds.Len() + m.remoteAcc.cmds.Len() + m.sysSend.cmds.Len() + m.userSend.cmds.Len()
 }
 
 // Close marks the MSC as shutting down and rings the doorbell:
@@ -495,21 +345,14 @@ func (m *MSC) Reopen() { m.closed.Store(false) }
 
 // SetObserver installs spill/refill observers on all five queues
 // (observability layer). Install before traffic flows. Both receive
-// the command count of the triggering push or refill. On a send queue
-// onSpill runs in producer context and onRefill in consumer context;
-// on a reply queue both run with the reply lock held. Neither may call
+// the command count of the triggering push or refill; onSpill runs in
+// producer context and onRefill in consumer context. Neither may call
 // back into the MSC.
 func (m *MSC) SetObserver(onSpill func(queue string, n int), onRefill func(queue string, n int)) {
-	for _, q := range []*ringQueue{m.userSend, m.sysSend, m.remoteAcc} {
+	for _, q := range []*ringQueue{m.userSend, m.sysSend, m.remoteAcc, m.getReply, m.rloadReply} {
 		q.onSpill = onSpill
 		q.onRefill = onRefill
 	}
-	m.replyMu.Lock()
-	for _, q := range []*Queue{m.getReply, m.rloadReply} {
-		q.onSpill = onSpill
-		q.onRefill = onRefill
-	}
-	m.replyMu.Unlock()
 }
 
 // MSCStats aggregates the five queues' statistics.
@@ -519,14 +362,11 @@ type MSCStats struct {
 
 // Stats snapshots all queue counters.
 func (m *MSC) Stats() MSCStats {
-	m.replyMu.Lock()
-	get, rload := m.getReply.Stats(), m.rloadReply.Stats()
-	m.replyMu.Unlock()
 	return MSCStats{
 		UserSend:        m.userSend.snapshot(),
 		SysSend:         m.sysSend.snapshot(),
 		RemoteAccess:    m.remoteAcc.snapshot(),
-		GetReply:        get,
-		RemoteLoadReply: rload,
+		GetReply:        m.getReply.snapshot(),
+		RemoteLoadReply: m.rloadReply.snapshot(),
 	}
 }

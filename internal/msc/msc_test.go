@@ -11,53 +11,57 @@ func cmd(i int) Command {
 	return Command{Op: OpPut, Src: 0, Dst: 1, Tag: int64(i)}
 }
 
-func TestQueueFIFO(t *testing.T) {
-	q := NewQueue("q", QueueWords)
+// The reply queues are the same ringQueue as the send queues; these
+// tests drive them through the MSC's reply pushes and TryNext, which
+// pops rload replies, then GET replies, ahead of everything else.
+
+func TestMSCReplyFIFO(t *testing.T) {
+	m := NewRing(QueueWords, nil)
 	for i := 0; i < 5; i++ {
-		q.Push(cmd(i))
+		m.PushGetReply(cmd(i))
 	}
 	for i := 0; i < 5; i++ {
-		c, ok := q.Pop()
+		c, ok := m.TryNext()
 		if !ok || c.Tag != int64(i) {
 			t.Fatalf("pop %d = %+v, %v", i, c, ok)
 		}
 	}
-	if _, ok := q.Pop(); ok {
+	if _, ok := m.TryNext(); ok {
 		t.Fatal("pop from empty should fail")
 	}
 }
 
-func TestQueueCapacityIs8Commands(t *testing.T) {
-	q := NewQueue("q", QueueWords)
+func TestMSCReplyCapacityIs8Commands(t *testing.T) {
+	m := NewRing(QueueWords, nil)
 	for i := 0; i < 8; i++ {
-		q.Push(cmd(i))
+		m.PushRemoteLoadReply(cmd(i))
 	}
-	if s := q.Stats(); s.Spills != 0 || s.MaxDepth != 8 {
+	if s := m.Stats().RemoteLoadReply; s.Spills != 0 || s.MaxDepth != 8 {
 		t.Fatalf("stats after 8 pushes: %+v", s)
 	}
-	q.Push(cmd(8))
-	if s := q.Stats(); s.Spills != 1 {
+	m.PushRemoteLoadReply(cmd(8))
+	if s := m.Stats().RemoteLoadReply; s.Spills != 1 {
 		t.Fatalf("9th push should spill: %+v", s)
 	}
 }
 
-func TestQueueOverflowSpillAndRefill(t *testing.T) {
-	q := NewQueue("q", QueueWords)
+func TestMSCReplySpillAndRefill(t *testing.T) {
+	m := NewRing(QueueWords, nil)
 	const n = 100
 	for i := 0; i < n; i++ {
-		q.Push(cmd(i))
+		m.PushGetReply(cmd(i))
 	}
-	if q.Len() != n {
-		t.Fatalf("Len = %d", q.Len())
+	if m.Pending() != n {
+		t.Fatalf("Pending = %d", m.Pending())
 	}
 	// FIFO preserved across spills.
 	for i := 0; i < n; i++ {
-		c, ok := q.Pop()
+		c, ok := m.TryNext()
 		if !ok || c.Tag != int64(i) {
 			t.Fatalf("pop %d = %+v, %v", i, c, ok)
 		}
 	}
-	s := q.Stats()
+	s := m.Stats().GetReply
 	if s.Spills != n-8 {
 		t.Fatalf("spills = %d, want %d", s.Spills, n-8)
 	}
@@ -72,18 +76,56 @@ func TestQueueOverflowSpillAndRefill(t *testing.T) {
 	}
 }
 
+// TestMSCReplyInterruptPerEpisode pins the reply queues' refill
+// interrupt rule, the send queues' and MLSim's: one OS interrupt per
+// spill-service episode, however many refills the episode takes. A
+// reply pushed between pops of one episode stays in it; an episode
+// ends when a pop is served by the hardware ring or finds the queue
+// empty.
+func TestMSCReplyInterruptPerEpisode(t *testing.T) {
+	m := NewRing(QueueWords, nil)
+	drain := func() {
+		for {
+			if _, ok := m.TryNext(); !ok {
+				return
+			}
+		}
+	}
+	// 100 replies: 92 spill, refilled in 12 batches of at most 8, one
+	// episode.
+	for i := 0; i < 100; i++ {
+		m.PushGetReply(cmd(i))
+	}
+	for i := 0; i < 50; i++ {
+		m.TryNext()
+	}
+	m.PushGetReply(cmd(100)) // joins the spill behind the episode
+	drain()
+	if s := m.Stats().GetReply; s.Interrupts != 1 || s.Refills != 93 {
+		t.Fatalf("one episode: %+v, want 1 interrupt and 93 refills", s)
+	}
+	// A second overflow is a second episode.
+	for i := 0; i < 20; i++ {
+		m.PushGetReply(cmd(i))
+	}
+	drain()
+	if s := m.Stats().GetReply; s.Interrupts != 2 || s.Refills != 105 {
+		t.Fatalf("two episodes: %+v, want 2 interrupts and 105 refills", s)
+	}
+}
+
 // Once spilling starts, later pushes must keep spilling (not jump the
 // queue) even if the hardware FIFO has space, or ordering breaks.
-func TestQueueNoReorderAfterSpill(t *testing.T) {
-	q := NewQueue("q", QueueWords)
+func TestMSCReplyNoReorderAfterSpill(t *testing.T) {
+	m := NewRing(QueueWords, nil)
 	for i := 0; i < 9; i++ { // 8 hw + 1 spill
-		q.Push(cmd(i))
+		m.PushGetReply(cmd(i))
 	}
-	q.Pop() // hw has space now
-	q.Push(cmd(9))
+	m.TryNext() // hw has space now
+	m.PushGetReply(cmd(9))
 	var got []int64
 	for {
-		c, ok := q.Pop()
+		c, ok := m.TryNext()
 		if !ok {
 			break
 		}
@@ -100,17 +142,18 @@ func TestQueueNoReorderAfterSpill(t *testing.T) {
 	}
 }
 
-// Property: any push/pop interleaving preserves FIFO order.
-func TestQueueFIFOProperty(t *testing.T) {
+// Property: any push/pop interleaving on a reply queue preserves FIFO
+// order.
+func TestMSCReplyFIFOProperty(t *testing.T) {
 	prop := func(ops []bool) bool {
-		q := NewQueue("q", QueueWords)
+		m := NewRing(QueueWords, nil)
 		next := 0
 		expect := 0
 		for _, push := range ops {
 			if push {
-				q.Push(cmd(next))
+				m.PushRemoteLoadReply(cmd(next))
 				next++
-			} else if c, ok := q.Pop(); ok {
+			} else if c, ok := m.TryNext(); ok {
 				if c.Tag != int64(expect) {
 					return false
 				}
@@ -118,7 +161,7 @@ func TestQueueFIFOProperty(t *testing.T) {
 			}
 		}
 		for {
-			c, ok := q.Pop()
+			c, ok := m.TryNext()
 			if !ok {
 				break
 			}
@@ -132,15 +175,6 @@ func TestQueueFIFOProperty(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestQueueTooSmallPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewQueue("q", 4)
 }
 
 func TestMSCPriorityOrder(t *testing.T) {
@@ -194,46 +228,27 @@ func TestMSCTryNext(t *testing.T) {
 }
 
 // TestMSCConcurrentProducersConsumer drives the MSC under the
-// contract the machine uses: one CPU goroutine pushes user, system and
-// remote-access commands (the send queues are SPSC), several delivery
-// goroutines push GET and remote-load replies, and one consumer pops.
-// Every command arrives exactly once, and each producer's commands on
-// each queue arrive in push order. Two-command queues keep every queue
-// spilling to DRAM and refilling.
+// contract the machine uses: each queue has one producer — the CPU
+// goroutine's send queues and the receive controller's reply queues,
+// here one goroutine per queue — and one consumer pops. Every command
+// arrives exactly once, and each queue's commands arrive in push
+// order. Two-command queues keep every queue spilling to DRAM and
+// refilling.
 func TestMSCConcurrentProducersConsumer(t *testing.T) {
 	m := NewRing(2*CommandWords, nil)
-	const (
-		sends        = 600 // CPU commands, cycling over the three send queues
-		repliers     = 3
-		repliesEach  = 400 // per replier, alternating GET and rload replies
-		total        = sends + repliers*repliesEach
-		streamsPerPE = 3 // send queues; a replier uses the first two
-	)
-	// Port names the producer's stream (producer·streamsPerPE + queue),
-	// Tag the command's sequence number within it.
+	const each = 400
+	push := []func(Command){m.PushUser, m.PushSystem, m.PushRemoteAccess, m.PushGetReply, m.PushRemoteLoadReply}
+	total := each * len(push)
+	// Port names the queue, Tag the command's sequence number on it.
 	var wg sync.WaitGroup
-	wg.Add(1 + repliers)
-	go func() {
-		defer wg.Done()
-		var seq [streamsPerPE]int64
-		push := [streamsPerPE]func(Command){m.PushUser, m.PushSystem, m.PushRemoteAccess}
-		for i := 0; i < sends; i++ {
-			q := i % streamsPerPE
-			push[q](Command{Port: int32(q), Tag: seq[q]})
-			seq[q]++
-		}
-	}()
-	for r := 1; r <= repliers; r++ {
-		go func(r int) {
+	for q, p := range push {
+		wg.Add(1)
+		go func(q int32, p func(Command)) {
 			defer wg.Done()
-			var seq [2]int64
-			push := [2]func(Command){m.PushGetReply, m.PushRemoteLoadReply}
-			for i := 0; i < repliesEach; i++ {
-				q := i % 2
-				push[q](Command{Port: int32(r*streamsPerPE + q), Tag: seq[q]})
-				seq[q]++
+			for i := 0; i < each; i++ {
+				p(Command{Port: q, Tag: int64(i)})
 			}
-		}(r)
+		}(int32(q), p)
 	}
 	next := make(map[int32]int64)
 	var buf [8]Command
@@ -245,7 +260,7 @@ func TestMSCConcurrentProducersConsumer(t *testing.T) {
 		}
 		for _, c := range buf[:n] {
 			if c.Tag != next[c.Port] {
-				t.Fatalf("stream %d: got seq %d, want %d (lost, duplicated or reordered)", c.Port, c.Tag, next[c.Port])
+				t.Fatalf("queue %d: got seq %d, want %d (lost, duplicated or reordered)", c.Port, c.Tag, next[c.Port])
 			}
 			next[c.Port]++
 			seen++
@@ -256,8 +271,10 @@ func TestMSCConcurrentProducersConsumer(t *testing.T) {
 		t.Fatalf("commands left after all %d arrived: pending = %d", total, m.Pending())
 	}
 	s := m.Stats()
-	if s.UserSend.Pops+s.SysSend.Pops+s.RemoteAccess.Pops != sends || s.GetReply.Pops+s.RemoteLoadReply.Pops != repliers*repliesEach {
-		t.Fatalf("pop counts off: %+v", s)
+	for _, q := range []QueueStats{s.UserSend, s.SysSend, s.RemoteAccess, s.GetReply, s.RemoteLoadReply} {
+		if q.Pushes != each || q.Pops != each {
+			t.Fatalf("push/pop counts off: %+v", s)
+		}
 	}
 }
 

@@ -6,9 +6,10 @@ import (
 	"ap1000plus/internal/ring"
 )
 
-// ringQueue is one MSC+ send queue. The commands live in a
-// ring.Overflow (producer: the cell's CPU goroutine; consumer: the
-// delivery worker that owns the cell), whose SPSC ring is the hardware
+// ringQueue is one MSC+ queue. The commands live in a ring.Overflow
+// (producer: the cell's CPU goroutine for a send queue, its receive
+// controller for a reply queue; consumer: the delivery worker that
+// owns the cell), whose SPSC ring is the hardware
 // FIFO and whose spill buffer is the hardware's "write into the buffer
 // in DRAM" path (S4.1); FIFO order across the spill is Overflow's
 // business. What is kept here is the
@@ -68,8 +69,13 @@ func (q *ringQueue) push(c *Command) {
 
 // pop removes the oldest command into *dst (straight into the
 // caller's batch: a Command is 20 words, 160 B, and every hand-off by
-// value copies it); single consumer.
+// value copies it); single consumer. An empty queue costs four loads
+// and no call: TryNextBatch probes all five queues on every call.
 func (q *ringQueue) pop(dst *Command) (ok bool) {
+	if q.cmds.Len() == 0 {
+		q.serving = false
+		return false
+	}
 	ok = q.cmds.PopInto(dst)
 	if q.staged > 0 {
 		q.staged--

@@ -14,8 +14,8 @@
 // write the producer made before storing t (Go's sync/atomic
 // operations are sequentially consistent, which subsumes the
 // release/acquire pairing needed here). Violating the SPSC contract
-// corrupts the FIFO; multi-producer feeds must serialize externally
-// (see the spill queues in internal/msc).
+// corrupts the FIFO; multi-producer feeds must serialize externally.
+// Every MSC+ queue in internal/msc is single-producer.
 package ring
 
 import "sync/atomic"

@@ -51,9 +51,10 @@ const LinkBandwidth = 25 << 20
 type Packet struct {
 	Head    msc.Command
 	Payload *mem.Payload
-	// SanTid identifies the sanitizer thread executing this packet's
-	// delivery (the sending controller — a sanitized machine delivers
-	// inline). -1 when the machine is not sanitized.
+	// SanTid identifies the sanitizer thread the delivery runs as:
+	// the sending controller, whose clock as of transmit Head.San
+	// refers to (a token the receive controller consumes or forwards).
+	// -1 when the machine is not sanitized.
 	SanTid int
 	// FreeOnDeliver transfers payload ownership to the wire, which
 	// releases the payload to its pool after the destination's handler

@@ -109,8 +109,7 @@ func WithQueueWords(words int) Option {
 // barrier domain, its jobs run independently (Machine.RunJob, or the
 // gang Scheduler), and the T-net refuses cross-partition traffic —
 // the isolation boundary multi-tenant runs rely on. Default 1 (the
-// whole machine is one partition). Conflicts with WithSanitize, whose
-// model spans all cells.
+// whole machine is one partition).
 func WithPartitions(k int) Option {
 	return func(b *builder) error {
 		if k <= 0 {
@@ -136,8 +135,8 @@ func WithTrace(app string) Option {
 
 // WithSanitize arms the apsan communication race detector: every DMA
 // access is checked against a happens-before model of flags, barriers,
-// acknowledgements and message receipt. Implies synchronous packet
-// delivery (the detector's clocks assume it).
+// acknowledgements and message receipt, on the same link wire and
+// partitions as an unsanitized machine.
 func WithSanitize() Option {
 	return func(b *builder) error {
 		b.cfg.Sanitize = true

@@ -7,10 +7,12 @@ import (
 
 // wireDiffResult is everything the differential gate compares: the
 // final bytes of every cell's receive buffer and every cell's flag
-// increment count.
+// increment count, plus the machine's post-run verdicts: the
+// sanitizer's (nil when unsanitized) and the drain invariant's.
 type wireDiffResult struct {
-	mem   [][]byte
-	flags []int64
+	mem              [][]byte
+	flags            []int64
+	sanErr, drainErr error
 }
 
 // wireDiffRun executes the seeded chaos workload — alternating rounds
@@ -77,7 +79,7 @@ func wireDiffRun(t *testing.T, opts ...Option) wireDiffResult {
 		}
 		return nil
 	})
-	res := wireDiffResult{mem: make([][]byte, np), flags: make([]int64, np)}
+	res := wireDiffResult{mem: make([][]byte, np), flags: make([]int64, np), sanErr: m.SanitizeErr(), drainErr: m.DrainInvariantErr()}
 	for id := 0; id < np; id++ {
 		res.mem[id] = append([]byte(nil), dsts[id]...)
 		res.flags[id] = m.Cell(CellID(id)).Flags.Increments()
@@ -127,9 +129,12 @@ func wireDiffOracle(np int) [][]byte {
 // the memory its closed form predicts — an oracle that shares no code
 // with receive/deliver — and the same flag counts, on every delivery
 // shape: one worker (everything inline), several (links), one per
-// cell, combining on links, and under seeded fault plans on
-// the same shapes (retransmission and dedup, inline and over links).
-// Run under -race in make verify.
+// cell, combining on links, under seeded fault plans on the same
+// shapes (retransmission and dedup, inline and over links), and
+// sanitized on links, with and without a fault plan (and with one and
+// combining). Every variant must also leave the sanitizer silent and
+// the drain invariant clean: no dedup hole and no sanitizer token
+// outlives the run. Run under -race in make verify.
 func TestWireDifferential(t *testing.T) {
 	var want wireDiffResult
 	check := func(t *testing.T, opts ...Option) {
@@ -137,6 +142,9 @@ func TestWireDifferential(t *testing.T) {
 		got := wireDiffRun(t, opts...)
 		if want.mem == nil {
 			want = wireDiffResult{mem: wireDiffOracle(len(got.mem)), flags: got.flags}
+		}
+		if got.sanErr != nil || got.drainErr != nil {
+			t.Fatalf("sanitizer: %v; drain invariant: %v", got.sanErr, got.drainErr)
 		}
 		for id := range want.mem {
 			if !bytes.Equal(want.mem[id], got.mem[id]) {
@@ -155,6 +163,10 @@ func TestWireDifferential(t *testing.T) {
 		{"ring wire, 4 workers", []Option{WithDeliveryWorkers(4)}},
 		{"ring wire, one worker per cell", []Option{WithDeliveryWorkers(16)}},
 		{"combining", []Option{WithCombining()}},
+		{"sanitized, 4 workers", []Option{WithSanitize(), WithDeliveryWorkers(4)}},
+		{"sanitized, one worker per cell", []Option{WithSanitize(), WithDeliveryWorkers(16)}},
+		{"sanitized, fault plan", []Option{WithSanitize(), WithDeliveryWorkers(4), WithFault(mustPlan(t, "drop=0.06,dup=0.04,reorder=0.03,seed=29"))}},
+		{"sanitized, fault plan, combining", []Option{WithSanitize(), WithCombining(), WithFault(mustPlan(t, "drop=0.06,dup=0.04,reorder=0.03,seed=29"))}},
 	} {
 		t.Run(v.name, func(t *testing.T) { check(t, v.opts...) })
 	}
