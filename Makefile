@@ -2,8 +2,9 @@
 # go vet, the repo's own static checker (cmd/apvet), and the test
 # suite under the Go race detector, plus two guards that only mean
 # anything without -race: the zero-allocation PUT issue paths
-# (single, batched and stride; sync.Pool drops items under the race
-# detector) and the deterministic goldens: the paper's tables and
+# (single, batched and stride) and a steady-state gang-scheduled job
+# (sync.Pool drops items under the race detector), and the
+# deterministic goldens: the paper's tables and
 # MLSim's bit-identical replays. The exact-count gates
 # (hot counter, >256-cell ring, coalesced command stream) rerun on one
 # core so their verdict does not depend on the host's. The PGAS
@@ -41,8 +42,20 @@ STAGING_TESTS = TestTransmitStagesUntilFlush|TestReplyStagedDuringDrain|TestDrai
 # overtakes an earlier atomic of its cell. verify runs them under -race
 # at GOMAXPROCS 1 and 4, because a fold's hold window depends on
 # scheduling and a gate's verdict must not depend on the host's core
-# count.
+# count. The atomic tests run the same way: one delivery worker
+# executes every atomic on a cell, so the owner's read-modify-write
+# takes no lock, and -race must see no conflict on one core or four.
 COMBINING_TESTS = TestAtomicCombinedEqualsUncombined|TestAtomicCombiningAcrossPartitions|TestCombiningKeepsIssueOrder
+
+# LIFECYCLE_TESTS pin the cells' CPU goroutines, which live for an
+# Open epoch and take one job after another: one goroutine per cell
+# from the first job to Close, a panic or runtime.Goexit in a program
+# leaves the partition usable, and back-to-back and concurrent
+# partition jobs compute what fresh machines compute. verify runs them
+# under -race at GOMAXPROCS 1 and 4, because the hand-off between jobs
+# interacts with parking and a gate's verdict must not depend on the
+# host's core count.
+LIFECYCLE_TESTS = TestCPUGoroutinesPersistAcrossJobs|TestRunJobProgramExits|TestSequentialRun|TestConcurrentPartitionJobs
 
 all: verify
 
@@ -85,13 +98,17 @@ verify:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestRingFront|TestMSC' ./internal/msc/
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'Sanitiz' ./internal/machine/ ./internal/apps/ .
 	GOMAXPROCS=4 $(GO) test -count=1 -run 'Sanitiz' ./internal/machine/ ./internal/apps/ .
-	$(GO) test -run 'TestPutIssueZeroAllocUnobserved|TestBatchIssueZeroAllocUnobserved|TestStridePutZeroAllocUnobserved' .
+	$(GO) test -run 'TestPutIssueZeroAllocUnobserved|TestBatchIssueZeroAllocUnobserved|TestStridePutZeroAllocUnobserved|TestRunJobZeroAlloc' . ./internal/machine/
 	$(GO) test -run TestDSMCacheHitZeroAlloc ./internal/dsm/
 	$(GO) test -run TestPGASAggregatedZeroAlloc ./internal/pgas/
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run TestAggOverflowOrder ./internal/pgas/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run TestAggOverflowOrder ./internal/pgas/
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(COMBINING_TESTS)' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run '$(COMBINING_TESTS)' .
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestAtomic|TestChaosAtomicCounter' . ./internal/machine/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestAtomic|TestChaosAtomicCounter' . ./internal/machine/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run '$(LIFECYCLE_TESTS)' ./internal/machine/ .
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run '$(LIFECYCLE_TESTS)' ./internal/machine/ .
 	$(GO) test -run '^$$' -bench BenchmarkAggregator -benchtime=1x ./internal/pgas/
 	$(GO) test -run '^$$' -bench BenchmarkAppKernels -benchtime=1x ./internal/apps/
 	$(GO) test -run 'TestTablesDeterministicOrder|TestReplayGolden' ./internal/stats/ ./internal/mlsim/

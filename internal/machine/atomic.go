@@ -287,23 +287,25 @@ func (m *Machine) decombine(members []foldMember, op mc.AtomicOp, base int64, ok
 }
 
 // execAtomic is the owner-side RMW: translate the word address, read-
-// modify-write under the cell's atomic mutex (requests from several
-// senders' controllers deliver concurrently), and report the old word
-// or a fault. Atomics are synchronization operations like the flag
-// incrementer, so no sanitizer access is recorded for the RMW itself.
+// modify-write the word, and report the old word or a fault. It needs
+// no lock: its one caller is receive, which runs on the owner cell's
+// own delivery worker (a same-shard sender is that worker, a
+// cross-shard request crossed a link to it, and the Inline DSM notices
+// that run elsewhere carry no atomic), so one goroutine executes every
+// atomic on a cell's memory, in delivery order. Atomics are
+// synchronization operations like the flag incrementer, so no
+// sanitizer access is recorded for the RMW itself.
 func (c *Cell) execAtomic(cmd *msc.Command) (old int64, faulted bool) {
 	if _, err := c.MMU.Translate(cmd.RAddr, 8); err != nil {
 		c.OS.interrupt(IntrPageFault)
 		c.OS.fault(fmt.Errorf("machine: cell %d: atomic %s: %w", c.id, cmd.AOp, err))
 		return 0, true
 	}
-	c.atomMu.Lock()
 	word, err := c.Mem.LoadWord8(cmd.RAddr)
 	if err == nil {
 		stored, _ := mc.ApplyAtomic(cmd.AOp, int64(word), cmd.AVal, cmd.ACmp)
 		err = c.Mem.StoreWord8(cmd.RAddr, uint64(stored))
 	}
-	c.atomMu.Unlock()
 	if err != nil {
 		c.OS.interrupt(IntrPageFault)
 		c.OS.fault(fmt.Errorf("machine: cell %d: atomic %s: %w", c.id, cmd.AOp, err))

@@ -45,6 +45,9 @@ type Cell struct {
 
 	rec *trace.Recorder
 
+	// cpu is the goroutine that runs this cell's job programs.
+	cpu cpu
+
 	sinkMu sync.RWMutex
 	sink   MessageSink
 
@@ -58,11 +61,6 @@ type Cell struct {
 
 	rstores atomic.Int64 // remote stores issued (for fencing)
 	atoms   atomic.Int64 // non-fetching atomics issued (for fencing)
-
-	// atomMu serializes owner-side atomic RMWs on this cell's memory:
-	// requests may deliver on several senders' workers
-	// concurrently, and the read-modify-write must be indivisible.
-	atomMu sync.Mutex
 
 	// atomicWait holds the pending fetching-atomic completions by tag:
 	// a plain waiter forwards the fetched value to the issuing CPU's
@@ -135,6 +133,8 @@ func newCell(m *Machine, id topology.CellID) (*Cell, error) {
 		atomicCh: make(chan atomicResult, 1),
 	}
 	c.atomicDone = func(val int64, ok bool, _ sanClock) { c.atomicCh <- atomicResult{val, ok} }
+	c.cpu.wake = make(chan struct{}, 1)
+	c.cpu.run = c.cpuLoop
 	// Lock-free MSC front whose doorbell schedules this cell on its
 	// delivery shard.
 	c.shard = int(id) % m.pool.shards()
@@ -624,18 +624,14 @@ func (c *Cell) resetJob() {
 	c.sink = nil
 	c.sinkMu.Unlock()
 	c.loadMu.Lock()
-	for tag := range c.loads {
-		delete(c.loads, tag)
-	}
+	clear(c.loads)
 	c.loadSeq = 0
 	c.loadMu.Unlock()
 	c.bcastMu.Lock()
 	c.bcasts = nil
 	c.bcastMu.Unlock()
 	c.atomicMu.Lock()
-	for tag := range c.atomicWait {
-		delete(c.atomicWait, tag)
-	}
+	clear(c.atomicWait)
 	c.atomicSeq = 0
 	c.atomicMu.Unlock()
 	c.rstores.Store(0)

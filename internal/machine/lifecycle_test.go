@@ -1,7 +1,11 @@
 package machine
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -179,6 +183,49 @@ func TestSequentialRunBitIdenticalUnderFault(t *testing.T) {
 	diffRuns(t, "fault job 2", seq2D, twoD, seq2I, twoI)
 }
 
+// partRingProgram is a one-partition ring-PUT job: every cell fills
+// its source buffer with fill+rank, PUTs it to its right neighbour in
+// the partition, waits for both flags and meets the partition's
+// hardware barrier. Each cell then holds fill+left in its destination.
+func partRingProgram(p *Partition, rs *ringSegs, fill float64) func(c *Cell) error {
+	base, size := p.base, p.n
+	return func(c *Cell) error {
+		id := int(c.ID())
+		rank := id - base
+		rf := c.Flags.Alloc()
+		sf := c.Flags.Alloc()
+		for i := range rs.srcD[id] {
+			rs.srcD[id][i] = fill + float64(rank)
+		}
+		right := base + (rank+1)%size // stay inside the partition
+		c.PushUser(msc.Command{
+			Op: msc.OpPut, Dst: topology.CellID(right),
+			RAddr: rs.dst[right].Base(), LAddr: rs.src[id].Base(),
+			RStride: mem.Contiguous(64), LStride: mem.Contiguous(64),
+			SendFlag: sf, RecvFlag: mc.FlagID(1),
+		})
+		c.Flags.Wait(sf, 1)
+		c.Flags.Wait(rf, 1)
+		c.HWBarrier()
+		return nil
+	}
+}
+
+// checkPartRing reports every destination word of partition p that
+// does not hold what partRingProgram(p, rs, fill) leaves there.
+func checkPartRing(t *testing.T, p *Partition, rs *ringSegs, fill float64) {
+	t.Helper()
+	for rank := 0; rank < p.n; rank++ {
+		id := p.base + rank
+		want := fill + float64((rank+p.n-1)%p.n)
+		for i, v := range rs.dstD[id] {
+			if v != want {
+				t.Errorf("partition %d cell %d dst[%d] = %v, want %v", p.index, id, i, v, want)
+			}
+		}
+	}
+}
+
 // TestConcurrentPartitionJobs gangs four jobs onto four partitions of
 // a 4x4 machine at once: each partition runs its own ring of PUTs and
 // its own hardware barrier. Every partition's data must come out
@@ -193,31 +240,10 @@ func TestConcurrentPartitionJobs(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, m.Partitions())
 	for part := 0; part < m.Partitions(); part++ {
-		p := m.Partition(part)
-		base, size, fill := p.base, p.n, float64(100*(part+1))
 		wg.Add(1)
 		go func(part int) {
 			defer wg.Done()
-			errs[part] = m.RunJob(part, func(c *Cell) error {
-				id := int(c.ID())
-				rank := id - base
-				rf := c.Flags.Alloc()
-				sf := c.Flags.Alloc()
-				for i := range rs.srcD[id] {
-					rs.srcD[id][i] = fill + float64(rank)
-				}
-				right := base + (rank+1)%size // stay inside the partition
-				c.PushUser(msc.Command{
-					Op: msc.OpPut, Dst: topology.CellID(right),
-					RAddr: rs.dst[right].Base(), LAddr: rs.src[id].Base(),
-					RStride: mem.Contiguous(64), LStride: mem.Contiguous(64),
-					SendFlag: sf, RecvFlag: mc.FlagID(1),
-				})
-				c.Flags.Wait(sf, 1)
-				c.Flags.Wait(rf, 1)
-				c.HWBarrier()
-				return nil
-			})
+			errs[part] = m.RunJob(part, partRingProgram(m.Partition(part), rs, float64(100*(part+1))))
 		}(part)
 	}
 	wg.Wait()
@@ -231,16 +257,7 @@ func TestConcurrentPartitionJobs(t *testing.T) {
 	}
 	for part := 0; part < m.Partitions(); part++ {
 		p := m.Partition(part)
-		for rank := 0; rank < p.n; rank++ {
-			id := p.base + rank
-			left := (rank + p.n - 1) % p.n
-			want := float64(100*(part+1)) + float64(left)
-			for i, v := range rs.dstD[id] {
-				if v != want {
-					t.Errorf("partition %d cell %d dst[%d] = %v, want %v", part, id, i, v, want)
-				}
-			}
-		}
+		checkPartRing(t, p, rs, float64(100*(part+1)))
 		if got := m.snet.Domain(part).Count(); got != 1 {
 			t.Errorf("partition %d barrier-domain count = %d, want 1", part, got)
 		}
@@ -325,5 +342,179 @@ func TestPartitionConfigValidation(t *testing.T) {
 		if got := m.Partition(i).Size(); got != 2 {
 			t.Errorf("Partition(%d).Size() = %d", i, got)
 		}
+	}
+}
+
+// settledGoroutines waits until runtime.NumGoroutine reads want, or
+// returns what it reads after a few seconds: a goroutine that has
+// signalled its exit can still be counted for a moment. want < 0 waits
+// for the count to hold still for 20 ms instead.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	last, still := -1, 0
+	for {
+		n := runtime.NumGoroutine()
+		if n == last {
+			still++
+		} else {
+			last, still = n, 0
+		}
+		if n == want || (want < 0 && still == 20) || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCPUGoroutinesPersistAcrossJobs pins the cells' CPU goroutines to
+// the Open epoch: the first job on a partition starts one goroutine per
+// cell, the next 199 jobs start none, and Close takes the count back to
+// what it was before Open; so does Machine.Run. A machine reopened
+// after that runs jobs whose memory matches a fresh machine's.
+func TestCPUGoroutinesPersistAcrossJobs(t *testing.T) {
+	cfg := Config{Width: 4, Height: 4, Partitions: 4}
+	m := newMachine(t, cfg)
+	rs := allocRingSegs(t, m)
+	base := settledGoroutines(-1)
+	if err := m.Open(); err != nil {
+		t.Fatal(err)
+	}
+	opened := runtime.NumGoroutine()
+	const jobs = 200
+	var live int
+	for j := 0; j < jobs; j++ {
+		part := j % m.Partitions()
+		p := m.Partition(part)
+		if err := m.RunJob(part, partRingProgram(p, rs, float64(j))); err != nil {
+			t.Fatalf("job %d: %v", j, err)
+		}
+		checkPartRing(t, p, rs, float64(j))
+		switch n := runtime.NumGoroutine(); {
+		case j == m.Partitions()-1:
+			if want := opened + m.Cells(); n != want {
+				t.Fatalf("after the first job of every partition: %d goroutines, want %d (one CPU per cell)", n, want)
+			}
+			live = n
+		case j >= m.Partitions() && n != live:
+			t.Fatalf("job %d: %d goroutines, want %d: a later job started or lost a CPU goroutine", j, n, live)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Fatalf("after Close: %d goroutines, want the pre-Open %d", n, base)
+	}
+
+	// Machine.Run is a one-job epoch: its Close stops the CPU
+	// goroutines, and the epoch after it starts fresh ones that compute
+	// what a fresh machine computes.
+	var ran atomic.Int64
+	if err := m.Run(func(c *Cell) error {
+		ran.Add(1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ran.Load(); got != int64(m.Cells()) {
+		t.Fatalf("Run ran on %d cells, want %d", got, m.Cells())
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Fatalf("after Run: %d goroutines, want %d", n, base)
+	}
+	runAll := func(m *Machine, rs *ringSegs) {
+		t.Helper()
+		if err := m.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for part := 0; part < m.Partitions(); part++ {
+			if err := m.RunJob(part, partRingProgram(m.Partition(part), rs, 7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runAll(m, rs)
+	fresh := newMachine(t, cfg)
+	freshRS := allocRingSegs(t, fresh)
+	runAll(fresh, freshRS)
+	for id := range rs.dstD {
+		for i := range rs.dstD[id] {
+			if got, want := rs.dstD[id][i], freshRS.dstD[id][i]; got != want {
+				t.Errorf("reopened cell %d dst[%d] = %v, fresh machine %v", id, i, got, want)
+			}
+		}
+		c, fc := m.Cell(topology.CellID(id)), fresh.Cell(topology.CellID(id))
+		if got, want := c.Flags.Increments(), fc.Flags.Increments(); got != want {
+			t.Errorf("reopened cell %d flag increments = %d, fresh machine %d", id, got, want)
+		}
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Errorf("after the second Close: %d goroutines, want %d", n, base)
+	}
+}
+
+// TestRunJobProgramExits pins the two ways a program leaves its CPU
+// goroutine early: a panic becomes the job's error, and
+// runtime.Goexit (t.FailNow's exit) ends the cell's part with no
+// error. Either way RunJob returns, the partition's next job runs on
+// every cell, and Close returns. A nil program is refused.
+func TestRunJobProgramExits(t *testing.T) {
+	m := newMachine(t, Config{Width: 4, Height: 2, Partitions: 2})
+	if err := m.Open(); err != nil {
+		t.Fatal(err)
+	}
+	p := m.Partition(1)
+	panicker, exiter := topology.CellID(p.base), topology.CellID(p.base+1)
+	for round := 0; round < 2; round++ {
+		err := m.RunJob(1, func(c *Cell) error {
+			switch c.ID() {
+			case panicker:
+				panic("boom")
+			case exiter:
+				runtime.Goexit()
+			}
+			return nil
+		})
+		want := fmt.Sprintf("machine: cell %d panic: boom\n", panicker)
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("round %d: RunJob = %v, want an error starting %q", round, err, want)
+		}
+		var ran atomic.Int64
+		if err := within(t, func() error {
+			return m.RunJob(1, func(c *Cell) error {
+				ran.Add(1)
+				return nil
+			})
+		}); err != nil {
+			t.Fatalf("round %d: the job after the exits: %v", round, err)
+		}
+		if got := ran.Load(); got != int64(p.n) {
+			t.Fatalf("round %d: the job after the exits ran on %d cells, want %d", round, got, p.n)
+		}
+	}
+	// A nil program has no way to report done: it is refused.
+	if err := m.RunJob(1, nil); err == nil {
+		t.Fatal("RunJob with a nil program must fail")
+	}
+	if err := within(t, m.Close); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// within runs f and returns its error, failing the test if f has not
+// returned after five seconds.
+func within(t *testing.T, f func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("still running after 5s")
+		return nil
 	}
 }

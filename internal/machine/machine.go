@@ -157,11 +157,13 @@ type Machine struct {
 	partOf []int32
 
 	// lifeMu guards the Open/Close lifecycle; ctlWG tracks the
-	// delivery workers of the current epoch.
+	// delivery workers of the current epoch and cpus the cells' CPU
+	// goroutines.
 	lifeMu  sync.Mutex
 	opened  bool
 	everRan bool
 	ctlWG   sync.WaitGroup
+	cpus    sync.WaitGroup
 
 	ts   *trace.TraceSet
 	san  *apsan.Sanitizer

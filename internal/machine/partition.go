@@ -68,6 +68,66 @@ type Partition struct {
 	q    quiesce
 	busy atomic.Bool
 	jobs atomic.Int64 // completed jobs, drives the job-state reset
+
+	// done counts the job's cells still running their program; errs
+	// holds each cell's result by rank. Both are reused by every job.
+	done sync.WaitGroup
+	errs []error
+}
+
+// cpu is a cell's SuperSPARC: one goroutine that runs the programs of
+// successive jobs during an Open epoch, as the real processor runs one
+// job after another while the OS resets job state between them. The
+// first RunJob of an epoch starts it with the program already in prog;
+// between jobs it parks on wake, and later jobs hand their program
+// over with one send. Close sends it an empty prog, on which it exits.
+// Everything here is built at New, so a job allocates nothing to reach
+// its cells.
+type cpu struct {
+	prog func(c *Cell) error // the current job's program; nil between jobs
+	wake chan struct{}       // the hand-off, buffered 1
+	run  func()              // the goroutine body (Cell.cpuLoop)
+	// live reports a goroutine running or parked for this cell. It is
+	// owned by whoever runs the partition's jobs; the goroutine itself
+	// clears it only when its program calls runtime.Goexit, before
+	// reporting done.
+	live bool
+}
+
+// cpuLoop is a cell's CPU goroutine: run the program in the slot,
+// park, and run the next one, until Close empties the slot. A program
+// that calls runtime.Goexit ends the goroutine; the cell's next job
+// starts a fresh one.
+func (c *Cell) cpuLoop() {
+	defer c.machine.cpus.Done()
+	for {
+		c.runProgram()
+		<-c.cpu.wake
+		if c.cpu.prog == nil {
+			return
+		}
+	}
+}
+
+// runProgram runs the job's program on this cell, records its result
+// in the partition's errs (a panic becomes an error) and reports the
+// cell done.
+func (c *Cell) runProgram() {
+	p := c.part
+	rank := int(c.id) - p.base
+	returned := false
+	defer func() {
+		if r := recover(); r != nil {
+			buf := make([]byte, 8192)
+			n := runtime.Stack(buf, false)
+			p.errs[rank] = fmt.Errorf("machine: cell %d panic: %v\n%s", c.id, r, buf[:n])
+		} else if !returned {
+			c.cpu.live = false // runtime.Goexit: this goroutine is ending
+		}
+		p.done.Done()
+	}()
+	p.errs[rank] = c.cpu.prog(c)
+	returned = true
 }
 
 // Index reports the partition's index on its machine.
@@ -100,7 +160,7 @@ func (m *Machine) buildPartitions(torus *topology.Torus, k int) error {
 			}
 			m.partOf[id] = int32(i)
 		}
-		p := &Partition{m: m, index: i, group: g, base: base, n: g.Size()}
+		p := &Partition{m: m, index: i, group: g, base: base, n: g.Size(), errs: make([]error, g.Size())}
 		p.q.cond = sync.NewCond(&p.q.mu)
 		m.parts = append(m.parts, p)
 		sizes[i] = g.Size()
@@ -158,9 +218,10 @@ func (m *Machine) resetSanitizer() {
 	}
 }
 
-// Close stops the delivery workers once every partition is idle and
-// waits for them to exit. It is an error to Close while a job is
-// running. A closed machine can be opened again.
+// Close stops the cells' CPU goroutines and the delivery workers once
+// every partition is idle and waits for them to exit. It is an error
+// to Close while a job is running. A closed machine can be opened
+// again.
 func (m *Machine) Close() error {
 	m.lifeMu.Lock()
 	defer m.lifeMu.Unlock()
@@ -173,6 +234,13 @@ func (m *Machine) Close() error {
 		}
 	}
 	for _, c := range m.cells {
+		if c.cpu.live {
+			c.cpu.live = false
+			c.cpu.wake <- struct{}{} // prog is nil between jobs: the CPU exits
+		}
+	}
+	m.cpus.Wait()
+	for _, c := range m.cells {
 		c.MSC.Close()
 	}
 	m.pool.close()
@@ -182,55 +250,63 @@ func (m *Machine) Close() error {
 	return nil
 }
 
-// RunJob executes program SPMD on one partition: one goroutine per
-// partition cell. It returns after every cell's program finished AND
-// the partition's in-flight communication drained. The machine must
-// be Open; a partition runs one job at a time (gang occupancy) while
+// RunJob executes program SPMD on one partition: each partition cell
+// runs it on its CPU goroutine, which lives for the Open epoch (see
+// cpu). It returns after every cell's program finished AND the
+// partition's in-flight communication drained. The machine must be
+// Open; a partition runs one job at a time (gang occupancy) while
 // different partitions run concurrently. Before the second and later
 // jobs on a partition, job-scoped cell state resets (flags, comm
 // registers, sinks, pending loads, broadcast inboxes, DSM hooks, OS
 // logs); memory segments and MMU mappings persist for the machine's
 // lifetime — the OS does not scrub DRAM between jobs, so each job
-// allocates its own working set.
+// allocates its own working set. A program's panic becomes the job's
+// error; a program that calls runtime.Goexit ends its cell's part of
+// the job with no error.
 func (m *Machine) RunJob(part int, program func(c *Cell) error) error {
 	if part < 0 || part >= len(m.parts) {
 		return fmt.Errorf("machine: RunJob on partition %d of %d", part, len(m.parts))
 	}
+	if program == nil {
+		return fmt.Errorf("machine: RunJob with a nil program")
+	}
+	p := m.parts[part]
+	// Claim the partition under the lifecycle lock, so a concurrent
+	// Close either sees the job running or makes RunJob fail.
 	m.lifeMu.Lock()
 	opened := m.opened
+	claimed := opened && p.busy.CompareAndSwap(false, true)
 	m.lifeMu.Unlock()
 	if !opened {
 		return fmt.Errorf("machine: RunJob on a closed machine (call Open first)")
 	}
-	p := m.parts[part]
-	if !p.busy.CompareAndSwap(false, true) {
+	if !claimed {
 		return fmt.Errorf("machine: partition %d is already running a job", part)
 	}
 	defer p.busy.Store(false)
+	cells := m.cells[p.base : p.base+p.n]
 	if p.jobs.Load() > 0 {
-		for _, c := range m.cells[p.base : p.base+p.n] {
+		for _, c := range cells {
 			c.resetJob()
 		}
 	}
 
-	errs := make([]error, p.n)
-	var cpuWG sync.WaitGroup
-	for i := 0; i < p.n; i++ {
-		c := m.cells[p.base+i]
-		cpuWG.Add(1)
-		go func(i int, c *Cell) {
-			defer cpuWG.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					buf := make([]byte, 8192)
-					n := runtime.Stack(buf, false)
-					errs[i] = fmt.Errorf("machine: cell %d panic: %v\n%s", c.id, r, buf[:n])
-				}
-			}()
-			errs[i] = program(c)
-		}(i, c)
+	clear(p.errs)
+	p.done.Add(p.n)
+	for _, c := range cells {
+		c.cpu.prog = program
+		if c.cpu.live {
+			c.cpu.wake <- struct{}{}
+			continue
+		}
+		c.cpu.live = true
+		m.cpus.Add(1)
+		go c.cpu.run()
 	}
-	cpuWG.Wait()
+	p.done.Wait()
+	for _, c := range cells {
+		c.cpu.prog = nil // drop the job's closure; an empty slot also means exit at Close
+	}
 
 	// Drain: park on the partition's doorbell until all of its queued
 	// and chained commands and its packets on links completed. Nothing
@@ -248,7 +324,7 @@ func (m *Machine) RunJob(part int, program func(c *Cell) error) error {
 		m.rel.reconcileRange(p.base, p.base+p.n)
 	}
 	p.jobs.Add(1)
-	for _, err := range errs {
+	for _, err := range p.errs {
 		if err != nil {
 			return err
 		}

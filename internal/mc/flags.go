@@ -40,11 +40,21 @@ const AtomicAckFlagID FlagID = -3
 // the implementation is a monitor: an increment establishes a
 // happens-before edge to the waiter exactly like the hardware's
 // memory-system ordering does.
+//
+// The file is a run of words, like the memory it models: flag IDs
+// are dense from AtomicAckFlagID (the three implicit flags, NoFlag,
+// then Alloc's IDs counting up from 1), so word id-AtomicAckFlagID
+// holds flag id. The words grow on demand up to denseFlags and
+// ResetAll zeroes them in place, so a reused cell's flag file
+// allocates nothing between jobs. An ID outside the dense range (a
+// program is free to name any FlagID) lives in a lazily built
+// overflow map, so no ID makes a cell allocate in proportion to it.
 type Flags struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	vals map[FlagID]int64
-	next FlagID
+	mu    sync.Mutex
+	cond  *sync.Cond
+	words []int64          // words[id-AtomicAckFlagID], id in the dense range
+	over  map[FlagID]int64 // IDs outside the dense range; nil until one is used
+	next  FlagID
 	// incs counts total increments, for statistics.
 	incs int64
 	// waitObs, when set, runs after every satisfied Wait, outside the
@@ -56,6 +66,48 @@ type Flags struct {
 	// stall-timing hook. The callback is invoked under the monitor
 	// lock and must not call back into Flags.
 	waitSpan func(FlagID) func()
+}
+
+// denseFlags bounds the flag file's word run: IDs from
+// AtomicAckFlagID up to AtomicAckFlagID+denseFlags-1 are words, any
+// other ID an overflow-map entry. 4096 words (32 KiB) cover every
+// program in the repository many times over.
+const denseFlags = 1 << 12
+
+// word returns flag id's word, growing the run as needed, or nil for
+// an ID outside the dense range (after making sure the overflow map
+// exists). Called under mu; the pointer is valid until the next call.
+func (f *Flags) word(id FlagID) *int64 {
+	i := int(id) - int(AtomicAckFlagID)
+	if i < 0 || i >= denseFlags {
+		if f.over == nil {
+			f.over = make(map[FlagID]int64)
+		}
+		return nil
+	}
+	if i >= len(f.words) {
+		n := min(max(2*len(f.words), i+1, 16), denseFlags)
+		f.words = append(f.words, make([]int64, n-len(f.words))...)
+	}
+	return &f.words[i]
+}
+
+// load reads flag id without growing anything. Called under mu.
+func (f *Flags) load(id FlagID) int64 {
+	i := int(id) - int(AtomicAckFlagID)
+	if i >= 0 && i < len(f.words) {
+		return f.words[i]
+	}
+	return f.over[id] // a nil map reads 0
+}
+
+// add adds n to flag id. Called under mu.
+func (f *Flags) add(id FlagID, n int64) {
+	if w := f.word(id); w != nil {
+		*w += n
+		return
+	}
+	f.over[id] += n
 }
 
 // SetWaitObserver installs a callback invoked after each Wait call is
@@ -77,7 +129,7 @@ func (f *Flags) SetWaitSpan(fn func(FlagID) func()) {
 
 // NewFlags returns an empty flag file.
 func NewFlags() *Flags {
-	f := &Flags{vals: make(map[FlagID]int64), next: 1}
+	f := &Flags{next: 1}
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
@@ -91,9 +143,6 @@ func (f *Flags) Alloc() FlagID {
 	defer f.mu.Unlock()
 	id := f.next
 	f.next++
-	if _, ok := f.vals[id]; !ok {
-		f.vals[id] = 0
-	}
 	return id
 }
 
@@ -105,7 +154,7 @@ func (f *Flags) Inc(id FlagID) {
 		return
 	}
 	f.mu.Lock()
-	f.vals[id]++
+	f.add(id, 1)
 	f.incs++
 	f.mu.Unlock()
 	f.cond.Broadcast()
@@ -121,7 +170,7 @@ func (f *Flags) Add(id FlagID, n int64) {
 		panic("mc: negative flag add")
 	}
 	f.mu.Lock()
-	f.vals[id] += n
+	f.add(id, n)
 	f.incs += n
 	f.mu.Unlock()
 	f.cond.Broadcast()
@@ -134,7 +183,7 @@ func (f *Flags) Load(id FlagID) int64 {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.vals[id]
+	return f.load(id)
 }
 
 // Reset sets flag id back to zero, the program's way of reusing a
@@ -144,20 +193,26 @@ func (f *Flags) Reset(id FlagID) {
 		return
 	}
 	f.mu.Lock()
-	f.vals[id] = 0
+	if i := int(id) - int(AtomicAckFlagID); i >= 0 && i < len(f.words) {
+		f.words[i] = 0
+	} else {
+		delete(f.over, id) // an unused ID already reads 0
+	}
 	f.mu.Unlock()
 	f.cond.Broadcast()
 }
 
 // ResetAll clears every flag and the allocation cursor — the OS
-// wiping a cell's flag file between gang-scheduled jobs. The wait
+// wiping a cell's flag file between gang-scheduled jobs. The words
+// are zeroed in place, so the reset allocates nothing. The wait
 // observers survive (they belong to the machine, not the job), and
 // the increment total restarts so a reused cell's per-job counts
 // compare bit-for-bit against a fresh machine's. Only legal while the
 // cell is idle: no transfers in flight, no waiter blocked.
 func (f *Flags) ResetAll() {
 	f.mu.Lock()
-	f.vals = make(map[FlagID]int64)
+	clear(f.words)
+	clear(f.over)
 	f.next = 1
 	f.incs = 0
 	f.mu.Unlock()
@@ -173,10 +228,10 @@ func (f *Flags) Wait(id FlagID, target int64) {
 	}
 	f.mu.Lock()
 	var end func()
-	if f.waitSpan != nil && f.vals[id] < target {
+	if f.waitSpan != nil && f.load(id) < target {
 		end = f.waitSpan(id)
 	}
-	for f.vals[id] < target {
+	for f.load(id) < target {
 		f.cond.Wait()
 	}
 	obs := f.waitObs
@@ -200,5 +255,5 @@ func (f *Flags) Increments() int64 {
 func (f *Flags) String() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return fmt.Sprintf("flags{n=%d incs=%d}", len(f.vals), f.incs)
+	return fmt.Sprintf("flags{n=%d incs=%d}", f.next-1, f.incs)
 }
